@@ -4,7 +4,7 @@
 
 PY ?= python
 
-.PHONY: lint test doctest check smoke-service smoke-server smoke-cluster smoke-parallel-build smoke-mmap smoke-chaos examples bench-planner bench-warm bench-server bench-cluster bench-build bench-mmap bench-replication benchmarks
+.PHONY: lint test doctest check smoke-service smoke-server smoke-cluster smoke-parallel-build smoke-mmap smoke-chaos examples bench-planner bench-warm bench-server bench-cluster bench-build bench-mmap bench-replication bench-e2e-quick benchmarks
 
 lint:           ## AST invariant checks (determinism, locks, exceptions, wire, ranking)
 	PYTHONPATH=src $(PY) -m repro.lint
@@ -64,6 +64,9 @@ bench-mmap:     ## store warm start: mmap vs JSON vs cold build (BENCH_mmap.json
 
 bench-replication:  ## follower sync: delta shipping vs full mirror (BENCH_replication.json)
 	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_replication.py --benchmark-disable
+
+bench-e2e-quick:  ## BENCHMARK.json's benchmark, all four workloads briefly (~10 s): oracle, durability, metric contract
+	python3 benchmarks/e2e/run.py --quick
 
 benchmarks:     ## full paper-reproduction report (slow)
 	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_*.py --benchmark-disable

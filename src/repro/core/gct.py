@@ -21,7 +21,9 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import IndexFormatError, InvalidParameterError
 from repro.graph.graph import Graph, Vertex, Edge
@@ -34,7 +36,14 @@ from repro.core.results import (
     build_entries,
     canonical_zero_fill,
 )
-from repro.core.tsd import TSDIndex, BuildProfile, canonical_kruskal_order
+from repro.core.tsd import (
+    BuildProfile,
+    ForestEdge,
+    TSDIndex,
+    canonical_kruskal_order,
+    carry_records,
+    select_records,
+)
 from repro.util.dsu import DisjointSet
 from repro.util.jsonio import dumps_payload
 from repro.util.timing import StopWatch
@@ -122,6 +131,32 @@ def assemble_gct(vertices: Sequence[Vertex],
     return supernodes, superedges
 
 
+def assemble_from_forest(forest: Sequence[ForestEdge],
+                         position: Mapping[Vertex, int]
+                         ) -> Tuple[List[Supernode], List[Superedge]]:
+    """Algorithm 8 over one stored TSD forest: ``GCT_v`` from ``TSD_v``.
+
+    Forests omit isolated ego vertices from edges; recovering the full
+    neighbour set from the forest alone is not possible, so only
+    edge-touched vertices are assembled.  Isolated ego vertices have
+    trussness 0 and never affect any query with ``k >= 2``
+    (:meth:`GCTIndex.build` skips them too).  ``position`` is the graph
+    insertion order that makes the entry canonical.
+    """
+    touched = {u for u, _, _ in forest} | {w for _, w, _ in forest}
+    return assemble_gct(
+        sorted(touched, key=position.__getitem__),
+        (((u, w), weight) for u, w, weight in forest))
+
+
+def _taus_descending(nodes: Iterable[Supernode]) -> List[int]:
+    return sorted((tau for tau, _ in nodes), reverse=True)
+
+
+def _weights_descending(edges: Iterable[Superedge]) -> List[int]:
+    return sorted((weight for _, _, weight in edges), reverse=True)
+
+
 class GCTIndex:
     """GCT-index of a graph: supernode/superedge forests per vertex.
 
@@ -137,7 +172,10 @@ class GCTIndex:
                  supernodes: Dict[Vertex, List[Supernode]],
                  superedges: Dict[Vertex, List[Superedge]],
                  vertex_order: Sequence[Vertex],
-                 build_profile: Optional[BuildProfile] = None) -> None:
+                 build_profile: Optional[BuildProfile] = None,
+                 tau_sorted: Optional[Dict[Vertex, List[int]]] = None,
+                 weight_sorted: Optional[Dict[Vertex, List[int]]] = None
+                 ) -> None:
         self._supernodes = supernodes
         self._superedges = superedges
         self._vertices: List[Vertex] = list(vertex_order)
@@ -146,20 +184,23 @@ class GCTIndex:
         # ``weight_sorted(v)``, e.g. the mmap-backed maps in
         # :mod:`repro.storage.lazy`) nothing is precomputed: the sorted
         # arrays decode per vertex from the record prefix on demand.
-        if callable(getattr(supernodes, "tau_sorted", None)):
-            self._tau_sorted: Optional[Dict[Vertex, List[int]]] = None
+        # ``tau_sorted`` / ``weight_sorted`` hand over columns already
+        # derived for exactly these records (:meth:`successor`).
+        if tau_sorted is not None:
+            self._tau_sorted: Optional[Dict[Vertex, List[int]]] = tau_sorted
+        elif callable(getattr(supernodes, "tau_sorted", None)):
+            self._tau_sorted = None
         else:
-            self._tau_sorted = {
-                v: sorted((tau for tau, _ in nodes), reverse=True)
-                for v, nodes in supernodes.items()
-            }
-        if callable(getattr(superedges, "weight_sorted", None)):
-            self._weight_sorted: Optional[Dict[Vertex, List[int]]] = None
+            self._tau_sorted = {v: _taus_descending(nodes)
+                                for v, nodes in supernodes.items()}
+        if weight_sorted is not None:
+            self._weight_sorted: Optional[Dict[Vertex, List[int]]] = \
+                weight_sorted
+        elif callable(getattr(superedges, "weight_sorted", None)):
+            self._weight_sorted = None
         else:
-            self._weight_sorted = {
-                v: sorted((w for _, _, w in edges), reverse=True)
-                for v, edges in superedges.items()
-            }
+            self._weight_sorted = {v: _weights_descending(edges)
+                                   for v, edges in superedges.items()}
         self.build_profile = build_profile
 
     def _taus(self, v: Vertex) -> List[int]:
@@ -228,17 +269,63 @@ class GCTIndex:
         supernodes: Dict[Vertex, List[Supernode]] = {}
         superedges: Dict[Vertex, List[Superedge]] = {}
         for v in tsd.vertices:
-            forest = tsd.forest(v)
-            touched = {u for u, _, _ in forest} | {w for _, w, _ in forest}
-            # Forests omit isolated ego vertices from edges; recovering
-            # the full neighbour set from the forest alone is not
-            # possible, so compression keeps only edge-touched vertices.
-            # Isolated ego vertices have trussness 0 and never affect
-            # any query with k >= 2 (build skips them too).
-            supernodes[v], superedges[v] = assemble_gct(
-                sorted(touched, key=position.__getitem__),
-                (((u, w), weight) for u, w, weight in forest))
+            supernodes[v], superedges[v] = assemble_from_forest(
+                tsd.forest(v), position)
         return cls(supernodes, superedges, tsd.vertices)
+
+    def successor(self, vertex_order: Sequence[Vertex],
+                  entries: Mapping[Vertex, Tuple[List[Supernode],
+                                                 List[Superedge]]],
+                  dropped: Iterable[Vertex] = ()) -> "GCTIndex":
+        """The index after an update batch; this one is left untouched.
+
+        The GCT counterpart of :meth:`TSDIndex.successor`: ``entries``
+        holds the reassembled ``(supernodes, superedges)`` of every
+        vertex whose ego-network changed, in graph-position order
+        (:func:`assemble_from_forest` over the repaired forests);
+        ``dropped`` names vertices that left the graph.  Every other
+        record and Lemma-3 column is shared with this index.  A
+        lazily-loaded index decodes its records once here (a read-only
+        mmap artifact cannot be patched) and stays lazy itself.
+        """
+        old_nodes, old_edges, old_taus, old_weights = self._eager_columns()
+        nodes = {v: entry[0] for v, entry in entries.items()}
+        edges = {v: entry[1] for v, entry in entries.items()}
+        return GCTIndex(
+            carry_records(old_nodes, nodes, dropped),
+            carry_records(old_edges, edges, dropped),
+            vertex_order,
+            tau_sorted=carry_records(
+                old_taus,
+                {v: _taus_descending(found) for v, found in nodes.items()},
+                dropped),
+            weight_sorted=carry_records(
+                old_weights,
+                {v: _weights_descending(found)
+                 for v, found in edges.items()},
+                dropped))
+
+    def _eager_columns(self) -> Tuple[Dict[Vertex, List[Supernode]],
+                                      Dict[Vertex, List[Superedge]],
+                                      Dict[Vertex, List[int]],
+                                      Dict[Vertex, List[int]]]:
+        """``(supernodes, superedges, taus, superedge weights)`` as plain
+        dicts: the ones an eager index owns (callers copy before
+        changing anything), or every record of a lazy one decoded once.
+        """
+        if self._tau_sorted is not None and self._weight_sorted is not None:
+            return (self._supernodes, self._superedges,
+                    self._tau_sorted, self._weight_sorted)
+        nodes: Dict[Vertex, List[Supernode]] = {}
+        edges: Dict[Vertex, List[Superedge]] = {}
+        for v in self._supernodes:
+            # Interleaved, so a vertex's two lookups decode one record.
+            nodes[v] = self._supernodes[v]
+            edges[v] = self._superedges[v]
+        return (nodes, edges,
+                {v: _taus_descending(found) for v, found in nodes.items()},
+                {v: _weights_descending(found)
+                 for v, found in edges.items()})
 
     # ------------------------------------------------------------------
     # Queries (Lemma 3)
@@ -368,28 +455,33 @@ class GCTIndex:
         """Size estimate for the Table 3 comparison."""
         return self.payload_slots() * bytes_per_slot
 
-    def to_payload(self, include_profile: bool = True) -> Dict:
+    def to_payload(self, include_profile: bool = True,
+                   only: Optional[Iterable[Vertex]] = None) -> Dict:
         """The JSON-encodable artifact form of this index.
 
         Shared by :meth:`save` and the service layer's
         :class:`~repro.service.store.IndexStore` (labels must be
         JSON-encodable).  ``include_profile=False`` strips the
         wall-clock build profile so equivalent indexes byte-compare.
+        ``only`` restricts the per-vertex records to those vertices, in
+        graph-position order — the delta-write form, as in
+        :meth:`TSDIndex.to_payload`.
         """
         vertices = self._vertices
         position = {v: i for i, v in enumerate(vertices)}
+        supernodes, superedges = self._supernodes, self._superedges
         payload = {
             "format": "repro-gct-index",
             "version": _PERSIST_VERSION,
             "vertices": vertices,
             "supernodes": {
                 str(position[v]): [[tau, [position[m] for m in members]]
-                                   for tau, members in nodes]
-                for v, nodes in self._supernodes.items()
+                                   for tau, members in supernodes[v]]
+                for v in select_records(supernodes, only, position)
             },
             "superedges": {
-                str(position[v]): [list(edge) for edge in edges]
-                for v, edges in self._superedges.items()
+                str(position[v]): [list(edge) for edge in superedges[v]]
+                for v in select_records(superedges, only, position)
             },
         }
         if include_profile and self.build_profile is not None:

@@ -26,7 +26,9 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import IndexFormatError, InvalidParameterError
 from repro.graph.graph import Graph, Vertex, Edge
@@ -150,6 +152,41 @@ def maximum_spanning_forest(vertices: Iterable[Vertex],
     return forest
 
 
+def carry_records(old: Mapping, replaced: Mapping,
+                  dropped: Iterable[Vertex] = ()) -> Dict:
+    """The per-vertex record dict of an index's successor.
+
+    A fresh top-level dict that *shares* every value of ``old`` except
+    those ``replaced`` (or ``dropped``): an update batch costs the
+    records it touched, not the index.  Surviving keys keep their
+    position and new keys append in ``replaced``'s order, so when the
+    caller passes ``replaced`` in graph-position order the result
+    iterates in graph insertion order — what keeps a successor's
+    payload byte-identical to a from-scratch build.
+    """
+    carried = dict(old)
+    for v in dropped:
+        carried.pop(v, None)
+    carried.update(replaced)
+    return carried
+
+
+def select_records(records: Mapping, only: Optional[Iterable[Vertex]],
+                   position: Mapping[Vertex, int]) -> Iterable[Vertex]:
+    """The vertices whose records a ``to_payload`` encodes: all of
+    them, or those of ``only`` that have one, in graph-position order
+    (whatever ``only`` iterates like — it may be a set)."""
+    if only is None:
+        return records
+    return sorted((v for v in only if v in records),
+                  key=position.__getitem__)
+
+
+def _forest_weights(edges: Iterable[ForestEdge]) -> List[int]:
+    """One forest's weight column (descending, like the forest)."""
+    return [weight for _, _, weight in edges]
+
+
 class TSDIndex:
     """The TSD-index of a graph: one maximum spanning forest per vertex.
 
@@ -167,7 +204,8 @@ class TSDIndex:
 
     def __init__(self, forests: Dict[Vertex, List[ForestEdge]],
                  vertex_order: Sequence[Vertex],
-                 build_profile: Optional[BuildProfile] = None) -> None:
+                 build_profile: Optional[BuildProfile] = None,
+                 weights: Optional[Dict[Vertex, List[int]]] = None) -> None:
         self._forests = forests
         self._vertices: List[Vertex] = list(vertex_order)
         # ``forests`` is normally a plain dict, but any Mapping with the
@@ -177,12 +215,15 @@ class TSDIndex:
         # fetched from the provider on demand — the mmap warm-start
         # path.  Queries are bit-identical either way: the provider
         # serves the same stored edge lists a dict would hold.
-        if callable(getattr(forests, "weights", None)):
-            self._weights: Optional[Dict[Vertex, List[int]]] = None
+        # ``weights`` hands over columns already derived for exactly
+        # these forests (:meth:`successor` carries its predecessor's).
+        if weights is not None:
+            self._weights: Optional[Dict[Vertex, List[int]]] = weights
+        elif callable(getattr(forests, "weights", None)):
+            self._weights = None
         else:
-            self._weights = {
-                v: [w for _, _, w in edges] for v, edges in forests.items()
-            }
+            self._weights = {v: _forest_weights(edges)
+                             for v, edges in forests.items()}
         self.build_profile = build_profile
         # Per-k (bounds, visit order) memo for top_r, plus the vertex
         # position map both the memo and the collector tie-breaks use.
@@ -416,21 +457,49 @@ class TSDIndex:
     # ------------------------------------------------------------------
     # Mutation hooks for dynamic maintenance (Section 5.3 remarks)
     # ------------------------------------------------------------------
-    def _materialise(self) -> None:
-        """Convert a lazy forest provider into plain owned dicts.
+    def _eager_columns(self) -> Tuple[Dict[Vertex, List[ForestEdge]],
+                                      Dict[Vertex, List[int]]]:
+        """``(forests, weight columns)`` as plain dicts.
 
-        Mutation cannot patch a read-only mmap artifact, so the first
-        mutating call on a lazily-loaded index decodes every forest
-        once and continues on the eager path — exactly the state an
-        eager ``from_payload`` load would have produced.
+        An eager index hands out the dicts it owns (callers copy before
+        changing anything).  A lazily-loaded one decodes every forest
+        once — a read-only mmap artifact cannot be patched — into
+        exactly the state an eager ``from_payload`` load would have
+        produced, leaving the index itself lazy.
         """
         if self._weights is not None:
-            return
-        provider = self._forests
-        self._forests = {v: list(provider[v]) for v in self._vertices
-                         if v in provider}
-        self._weights = {v: [w for _, _, w in edges]
-                         for v, edges in self._forests.items()}
+            return self._forests, self._weights
+        forests = dict(self._forests)
+        return forests, {v: _forest_weights(edges)
+                         for v, edges in forests.items()}
+
+    def _materialise(self) -> None:
+        """Continue on the eager path (first mutation of a lazy index)."""
+        self._forests, self._weights = self._eager_columns()
+
+    def successor(self, vertex_order: Sequence[Vertex],
+                  forests: Mapping[Vertex, List[ForestEdge]],
+                  dropped: Iterable[Vertex] = ()) -> "TSDIndex":
+        """The index after an update batch; this one is left untouched.
+
+        ``forests`` holds the rebuilt forest of every vertex whose
+        ego-network changed (new vertices included), in graph-position
+        order; ``dropped`` names vertices that left the graph.  The
+        successor owns fresh top-level dicts but shares every other
+        forest and weight column with this index (see
+        :func:`carry_records`), so a batch costs its affected records —
+        and snapshot isolation holds, because stored records are never
+        mutated in place, only replaced.  Records hold labels, not
+        positions, so the same path serves fixed, grown and shrunk
+        vertex sets; ``vertex_order`` is the new graph's insertion order.
+        """
+        old_forests, old_weights = self._eager_columns()
+        return TSDIndex(
+            carry_records(old_forests, forests, dropped), vertex_order,
+            weights=carry_records(
+                old_weights,
+                {v: _forest_weights(edges) for v, edges in forests.items()},
+                dropped))
 
     def replace_forest(self, v: Vertex, edges: Iterable[ForestEdge]) -> None:
         """Install a freshly rebuilt forest for ``v`` (registering ``v``
@@ -441,7 +510,7 @@ class TSDIndex:
         if v not in self._forests:
             self._vertices.append(v)
         self._forests[v] = ordered
-        self._weights[v] = [w for _, _, w in ordered]
+        self._weights[v] = _forest_weights(ordered)
         self._invalidate_query_caches()
 
     def drop_vertex(self, v: Vertex) -> None:
@@ -469,7 +538,8 @@ class TSDIndex:
         """Size estimate used for the Table 3 index-size comparison."""
         return self.payload_slots() * bytes_per_slot
 
-    def to_payload(self, include_profile: bool = True) -> Dict:
+    def to_payload(self, include_profile: bool = True,
+                   only: Optional[Iterable[Vertex]] = None) -> Dict:
         """The JSON-encodable artifact form of this index.
 
         Shared by :meth:`save` and the service layer's
@@ -481,17 +551,25 @@ class TSDIndex:
         wall-clock-dependent field, so stripping it makes payloads of
         equivalent indexes byte-comparable (the build-equivalence tests
         and benches rely on this).
+
+        ``only`` restricts the per-vertex records to those vertices (in
+        graph-position order; ones without a record are skipped) — the
+        delta-write form: :func:`repro.storage.writer.write_delta`
+        reads nothing but the changed vertices' records, so an update
+        batch need not encode the other ``|V|``.  The vertex list stays
+        complete either way.
         """
         vertices = self._vertices
         position = {v: i for i, v in enumerate(vertices)}
+        forests = self._forests
         payload = {
             "format": "repro-tsd-index",
             "version": _PERSIST_VERSION,
             "vertices": vertices,
             "forests": {
                 str(position[v]): [[position[u], position[w], weight]
-                                   for u, w, weight in edges]
-                for v, edges in self._forests.items()
+                                   for u, w, weight in forests[v]]
+                for v in select_records(forests, only, position)
             },
         }
         if include_profile and self.build_profile is not None:

@@ -33,8 +33,9 @@ Examples
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph, Vertex
@@ -51,6 +52,11 @@ from repro.engine.planner import EngineConfig, PlanDecision, QueryPlanner
 #: Method names accepted by :meth:`QueryEngine.top_r`.
 ENGINE_METHODS = ("auto", "baseline", "bound", "tsd", "gct", "hybrid")
 
+#: How many of the latest planner decisions an engine keeps (one is made
+#: per ``method="auto"`` query, and every :meth:`QueryEngine.stats` call
+#: copies them); the counters beside them are running totals.
+RECENT_DECISIONS = 256
+
 
 @dataclass
 class EngineStats:
@@ -60,7 +66,10 @@ class EngineStats:
     batches: int = 0
     point_lookups: int = 0
     method_counts: Dict[str, int] = field(default_factory=dict)
+    #: The latest planner decisions (at most :data:`RECENT_DECISIONS`),
+    #: oldest first; ``decisions_total`` counts every one ever made.
     decisions: List[PlanDecision] = field(default_factory=list)
+    decisions_total: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cached_thresholds: List[int] = field(default_factory=list)
@@ -86,9 +95,10 @@ class EngineStats:
                                      if self.warm_loaded else "no"),
         ]
         if self.decisions:
-            lines.append("planner decisions:")
+            lines.append(f"planner decisions ({self.decisions_total}):")
+            first = self.decisions_total - len(self.decisions)
             lines.extend(f"  [{i}] {d.method}: {d.reason}"
-                         for i, d in enumerate(self.decisions))
+                         for i, d in enumerate(self.decisions, first))
         return "\n".join(lines)
 
 
@@ -138,7 +148,9 @@ class QueryEngine:
         self._batches = 0
         self._point_lookups = 0
         self._method_counts: Dict[str, int] = {}
-        self._decisions: List[PlanDecision] = []
+        self._decisions: Deque[PlanDecision] = deque(
+            maxlen=RECENT_DECISIONS)
+        self._decisions_total = 0
         self._build_seconds: Dict[str, float] = {}
         self._warm_loaded: List[str] = []
         self._warm_source = None
@@ -363,6 +375,7 @@ class QueryEngine:
             point_lookups=self._point_lookups,
             method_counts=dict(self._method_counts),
             decisions=list(self._decisions),
+            decisions_total=self._decisions_total,
             cache_hits=self._cache.hits,
             cache_misses=self._cache.misses,
             cached_thresholds=self._cache.cached_thresholds(),
@@ -400,6 +413,7 @@ class QueryEngine:
                          or bool({"tsd", "gct"} & set(self._warm_loaded))),
         )
         self._decisions.append(decision)
+        self._decisions_total += 1
         return decision.method
 
     def _serve(self, k: int, r: int, method: str,

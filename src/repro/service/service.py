@@ -32,7 +32,8 @@ Examples
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreError
 from repro.graph.graph import Graph, Vertex
@@ -40,6 +41,11 @@ from repro.core.results import SearchResult
 from repro.service.snapshot import Snapshot, scores_to_payload
 from repro.service.store import IndexStore, StoreVersion
 from repro.service.updates import UpdateLike, UpdateReport, apply_batch
+
+#: How many of the latest :class:`UpdateReport` ledgers a service keeps
+#: (each holds its batch's affected-vertex tuple); the batch and update
+#: *counts* are running totals and stay exact past the window.
+RECENT_REPORTS = 64
 
 
 class DiversityService:
@@ -67,7 +73,8 @@ class DiversityService:
         self._stats_lock = threading.Lock()
         self._queries = 0
         self._updates_applied = 0
-        self._reports: List[UpdateReport] = []
+        self._update_batches = 0
+        self._reports: Deque[UpdateReport] = deque(maxlen=RECENT_REPORTS)
         self.warm_started = False
         #: Called as ``listener(updates, report, version)`` inside the
         #: writer lock, right after each batch publishes.  The server
@@ -204,8 +211,10 @@ class DiversityService:
                 next_snapshot.version = version.version
                 next_snapshot.key = version.key
             self._snapshot = next_snapshot  # atomic publish
-            self._updates_applied += report.num_updates
-            self._reports.append(report)
+            with self._stats_lock:
+                self._updates_applied += report.num_updates
+                self._update_batches += 1
+                self._reports.append(report)
             if self.update_listener is not None:
                 self.update_listener(updates, report, next_snapshot.version)
         return report
@@ -249,22 +258,26 @@ class DiversityService:
     # Introspection
     # ------------------------------------------------------------------
     def update_reports(self) -> List[UpdateReport]:
-        """Every applied batch's ledger, oldest first."""
-        return list(self._reports)
+        """The latest batches' ledgers (at most :data:`RECENT_REPORTS`),
+        oldest first; ``stats_payload()["update_batches"]`` counts all."""
+        with self._stats_lock:
+            return list(self._reports)
 
     def stats_payload(self) -> Dict[str, object]:
         """JSON-able service counters (the HTTP ``/stats`` building block)."""
         snapshot = self._snapshot
         with self._stats_lock:
             queries = self._queries
+            updates_applied = self._updates_applied
+            update_batches = self._update_batches
         return {
             "version": snapshot.version,
             "vertices": snapshot.num_vertices,
             "edges": snapshot.num_edges,
             "warm_started": self.warm_started,
             "queries": queries,
-            "updates_applied": self._updates_applied,
-            "update_batches": len(self._reports),
+            "updates_applied": updates_applied,
+            "update_batches": update_batches,
             "cached_thresholds": snapshot.cached_thresholds(),
         }
 
@@ -281,10 +294,12 @@ class DiversityService:
             f"({stats['update_batches']} batches)",
             f"cached thresholds: {stats['cached_thresholds'] or '-'}",
         ]
-        if self._reports:
+        reports = self.update_reports()
+        if reports:
             lines.append("update batches:")
+            first = stats["update_batches"] - len(reports)
             lines.extend(f"  [{i}] {report.summary()}"
-                         for i, report in enumerate(self._reports))
+                         for i, report in enumerate(reports, first))
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

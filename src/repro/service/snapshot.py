@@ -117,10 +117,33 @@ class Snapshot:
                  hybrid: Optional[HybridSearcher] = None,
                  scores: Optional[Dict[int, ScoreEntry]] = None,
                  version: int = 0, key: Optional[str] = None) -> None:
+        self._install(graph.copy(), tsd, gct, hybrid, scores, version, key)
+
+    @classmethod
+    def adopting(cls, graph: Graph, **parts) -> "Snapshot":
+        """A snapshot that takes ``graph`` over instead of copying it
+        (``parts``: the constructor's other parameters).
+
+        For a caller that built ``graph`` for this snapshot and holds
+        no other reference it will ever use — the update path, whose
+        batch is applied to a private copy already.  Anyone else uses
+        the constructor: a graph mutated after publication breaks the
+        immutability every reader relies on.
+        """
+        snapshot = cls.__new__(cls)
+        snapshot._install(graph, **parts)
+        return snapshot
+
+    def _install(self, graph: Graph,
+                 tsd: Optional[TSDIndex] = None,
+                 gct: Optional[GCTIndex] = None,
+                 hybrid: Optional[HybridSearcher] = None,
+                 scores: Optional[Dict[int, ScoreEntry]] = None,
+                 version: int = 0, key: Optional[str] = None) -> None:
         if tsd is None and gct is None:
             raise InvalidParameterError(
                 "a snapshot needs at least one built index (tsd or gct)")
-        self._graph = graph.copy()
+        self._graph = graph
         self._tsd = tsd
         self._gct = gct if gct is not None else GCTIndex.compress(tsd)
         self._hybrid = hybrid

@@ -219,7 +219,12 @@ class IndexStore:
         else:
             self._manifest = {"format": _MANIFEST_FORMAT,
                               "version": _MANIFEST_VERSION, "graphs": {}}
-            self._write_manifest()
+            # Under the lock (which adopts a manifest that appeared
+            # meanwhile): two processes opening one fresh root would
+            # otherwise race on the shared ``manifest.json.tmp``.
+            with self._locked():
+                if not self._manifest_path.exists():
+                    self._write_manifest()
 
     # ------------------------------------------------------------------
     # Manifest plumbing
@@ -405,9 +410,11 @@ class IndexStore:
         enables delta re-versions under the binary codec: the previous
         version's artifact bytes are carried over with only the changed
         records appended and their dictionary offsets patched — no
-        unchanged record is re-encoded (see
-        :func:`repro.storage.writer.write_delta`).  Ignored under the
-        JSON codec or when no usable base artifact exists.
+        unchanged record is re-encoded, or even put in payload form
+        (see :func:`repro.storage.writer.write_delta`).  Under the JSON
+        codec, without a usable base artifact, or when the delta is
+        refused (changed vertex set), the full payload is built and
+        written instead.
 
         Artifact files are written via tmp + :func:`os.replace` and the
         whole operation holds the store's on-disk lock (with a manifest
@@ -438,17 +445,21 @@ class IndexStore:
                     codec = get_codec(codec_name)
                     version_dir.mkdir(parents=True, exist_ok=True)
                     path = version_dir / f"{name}.{codec.extension}"
-                    payload = obj if name == "scores" else obj.to_payload()
                     written = False
                     if changed_vertices is not None:
                         base = self._delta_base(name, previous, carried,
                                                 carried_codecs, codec_name)
                         if base is not None:
+                            # The codec takes the index, not a payload:
+                            # a delta encodes the changed records only.
                             written = codec.write_incremental(
-                                self._root / base, path, payload,
+                                self._root / base, path, obj,
                                 changed_vertices, fingerprint=key)
                     if not written:
-                        codec.write(path, payload, fingerprint=key)
+                        codec.write(
+                            path,
+                            obj if name == "scores" else obj.to_payload(),
+                            fingerprint=key)
                     artifacts[name] = str(path.relative_to(self._root))
                     if codec_name != "json":
                         codecs[name] = codec_name

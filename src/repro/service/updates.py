@@ -36,7 +36,7 @@ from repro.errors import GraphError, InvalidParameterError
 from repro.graph.graph import Graph, Vertex
 from repro.core.diversity import profile_from_weights
 from repro.core.tsd import TSDIndex, ForestEdge
-from repro.core.gct import GCTIndex, assemble_gct
+from repro.core.gct import GCTIndex, assemble_from_forest
 from repro.core.hybrid import HybridSearcher
 from repro.service.snapshot import ScoreEntry, Snapshot
 
@@ -164,7 +164,7 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
     start = time.perf_counter()
     batch = [_coerce(update) for update in updates]
     graph = snapshot.graph  # the property already hands out a copy
-    old_vertices = set(graph.vertices())
+    old_order = list(graph.vertices())
 
     # --- 1. mutate the private graph copy, collecting the affected set
     affected: Set[Vertex] = set()
@@ -180,45 +180,40 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
             # still exist (mirrors DynamicTSDIndex.delete_edge).
             affected |= _affected_by(graph, update.u, update.v)
             graph.remove_edge(update.u, update.v)
-    vertex_set_changed = set(graph.vertices()) != old_vertices
+    order = list(graph.vertices())
+    position = {v: i for i, v in enumerate(order)}
+    vertex_set_changed = order != old_order
 
     # --- 2. capture pre-update profiles of the affected vertices ------
     old_profiles = {v: _old_profile(snapshot, v) for v in affected}
 
     # --- 3. affected-vertex repair: re-decompose only changed egos ----
-    # (deleted vertices are simply dropped; repair_forests skips them)
+    # Everything from here to the next indexes costs the affected
+    # records, not the index: the repaired entries go in graph-position
+    # order (what keeps successor dicts in insertion order) and every
+    # other record is shared with the input snapshot's indexes.
     from repro.build import repair_forests
-    order = list(graph.vertices())
-    position = {v: i for i, v in enumerate(order)}
-    new_forests: Dict[Vertex, List[ForestEdge]] = repair_forests(
-        graph, sorted(affected, key=repr), jobs=jobs,
-        labels=order, ids=position)
+    targets = sorted((v for v in affected if v in graph),
+                     key=position.__getitem__)
+    dropped = sorted((v for v in affected if v not in graph), key=repr)
+    repaired: Dict[Vertex, List[ForestEdge]] = repair_forests(
+        graph, targets, jobs=jobs, labels=order, ids=position)
+    new_forests = {w: repaired[w] for w in targets}
     new_profiles: Dict[Vertex, Dict[int, int]] = {
         w: profile_from_weights(((a, b), weight)
                                 for a, b, weight in forest)
         for w, forest in new_forests.items()
     }
-    rebuilt = len(new_forests)
 
-    new_tsd: Optional[TSDIndex] = None
     old_tsd = snapshot.tsd
+    new_tsd: Optional[TSDIndex] = None
     if old_tsd is not None:
-        forests = {v: old_tsd.forest(v) for v in old_tsd.vertices
-                   if v in graph and v not in new_forests}
-        forests.update(new_forests)
-        new_tsd = TSDIndex(forests, order)
-
-    old_gct = snapshot.gct
-    supernodes = {v: old_gct.supernodes(v) for v in old_gct.vertices
-                  if v in graph and v not in affected}
-    superedges = {v: old_gct.superedges(v) for v in old_gct.vertices
-                  if v in graph and v not in affected}
-    for w, forest in new_forests.items():
-        touched = {u for u, _, _ in forest} | {x for _, x, _ in forest}
-        supernodes[w], superedges[w] = assemble_gct(
-            sorted(touched, key=position.__getitem__),
-            (((u, x), weight) for u, x, weight in forest))
-    new_gct = GCTIndex(supernodes, superedges, order)
+        new_tsd = old_tsd.successor(order, new_forests, dropped)
+    new_gct: GCTIndex = snapshot.gct.successor(
+        order,
+        {w: assemble_from_forest(forest, position)
+         for w, forest in new_forests.items()},
+        dropped)
 
     new_hybrid: Optional[HybridSearcher] = None
     if snapshot.hybrid is not None and new_tsd is not None:
@@ -242,13 +237,15 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
         retained = {k: entry for k, entry in old_entries.items()
                     if k not in invalidated}
 
-    next_snapshot = Snapshot(
+    # The graph is this call's private copy and is not touched again,
+    # so the next snapshot takes it over instead of copying it twice.
+    next_snapshot = Snapshot.adopting(
         graph, tsd=new_tsd, gct=new_gct, hybrid=new_hybrid,
         scores=retained, version=snapshot.version + 1, key=None)
     report = UpdateReport(
         num_updates=len(batch),
         affected_vertices=tuple(sorted(affected, key=repr)),
-        rebuilt_forests=rebuilt,
+        rebuilt_forests=len(new_forests),
         invalidated_thresholds=tuple(sorted(invalidated)),
         retained_thresholds=tuple(sorted(retained)),
         vertex_set_changed=vertex_set_changed,

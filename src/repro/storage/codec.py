@@ -50,7 +50,7 @@ class JsonCodec:
         os.replace(tmp, path)
 
     def write_incremental(self, base_path: Path, path: Path,
-                          payload: Dict, changed,
+                          index, changed,
                           fingerprint: Optional[str] = None) -> bool:
         """JSON has no record structure to patch — always full write."""
         return False
@@ -77,10 +77,17 @@ class BinaryCodec:
         write_artifact(path, payload, fingerprint=fingerprint)
 
     def write_incremental(self, base_path: Path, path: Path,
-                          payload: Dict, changed,
+                          index, changed,
                           fingerprint: Optional[str] = None) -> bool:
-        """Delta re-version: append changed records, patch offsets."""
-        return write_delta(base_path, path, payload, changed,
+        """Delta re-version: append changed records, patch offsets.
+
+        A delta reads only the ``changed`` vertices' records, so only
+        they are taken from ``index`` (``to_payload(only=changed)``).
+        ``False`` means nothing was written and the caller owes a full
+        :meth:`write`.
+        """
+        return write_delta(base_path, path,
+                           index.to_payload(only=changed), changed,
                            fingerprint=fingerprint)
 
     def load_payload(self, path: Path) -> Dict:

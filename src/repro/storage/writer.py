@@ -170,7 +170,10 @@ def write_delta(base_path, path, payload: Dict,
 
     ``changed`` names the vertex labels whose records may differ from
     the base artifact (the update batch's affected set); every other
-    record is carried over byte-for-byte.  Replacement blocks are
+    record is carried over byte-for-byte, so ``payload`` need hold only
+    the changed vertices' records beside the complete vertex list
+    (``to_payload(only=changed)``) — a full payload writes the same
+    bytes.  Replacement blocks are
     *appended* to the heap and the superseded offsets rewritten in the
     dictionary — no unchanged record is re-encoded.  Returns ``False``
     without writing when a delta does not apply (missing/foreign base,

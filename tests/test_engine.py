@@ -341,3 +341,25 @@ class TestStats:
         engine.top_r(4, 1)
         assert before.queries == 0
         assert engine.stats().queries == 1
+
+    def test_decision_ledger_is_a_window_with_exact_totals(self, figure1):
+        """The ledger keeps the latest RECENT_DECISIONS entries; the
+        totals beside it count every query ever served."""
+        from repro.engine.facade import RECENT_DECISIONS
+        engine = QueryEngine(figure1)
+        total = RECENT_DECISIONS + 7
+        for i in range(total):
+            engine.top_r(3 + i % 2, 1)
+        engine.top_r(4, 1, method="tsd")
+        stats = engine.stats()
+        assert len(stats.decisions) == RECENT_DECISIONS
+        assert stats.decisions_total == total
+        assert stats.queries == total + 1
+        assert sum(stats.method_counts.values()) == total + 1
+        assert stats.method_counts["tsd"] == 1
+        text = stats.summary()
+        assert f"planner decisions ({total}):" in text
+        # Entries are numbered by their place in the whole history.
+        assert f"  [{total - RECENT_DECISIONS}] " in text
+        assert f"  [{total - 1}] " in text
+        assert f"  [{total - RECENT_DECISIONS - 1}] " not in text

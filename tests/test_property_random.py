@@ -9,7 +9,11 @@ serving surface the system has grown:
 * the five methods + ``auto`` through :class:`QueryEngine`,
 * the immutable :class:`Snapshot` the service layer serves from,
 * the process-sharded cluster **over the wire** (worker processes
-  behind the consistent-hash frontend).
+  behind the consistent-hash frontend),
+* the *incremental* indexes: after each of several update batches the
+  successor indexes (which share every unaffected record with their
+  predecessor) encode byte-for-byte like a from-scratch build, and the
+  predecessor snapshot still answers bit-identically.
 
 Sweeps include the adversarial corners: ``r > n`` (zero-fill past the
 scored vertices), ``k`` above the maximum trussness (all-zero
@@ -22,13 +26,17 @@ import random
 
 import pytest
 
+from repro.build import build_indexes, repair_forests
 from repro.graph.graph import Graph
+from repro.core.gct import assemble_from_forest
 from repro.core.online import online_search
 from repro.datasets.synthetic import add_planted_cliques, erdos_renyi
 from repro.engine import QueryEngine
 from repro.service.snapshot import Snapshot
+from repro.service.updates import apply_batch
 from repro.cluster import ShardedCluster
 from repro.server import ServerClient
+from repro.util.jsonio import dumps_payload
 
 #: Trussness thresholds swept per graph; 40 exceeds every graph's
 #: maximum trussness in this family (the biggest planted clique is 7).
@@ -196,3 +204,121 @@ class TestDifferentialRankings:
             answer = reference[(k, n + 7)]
             assert len(answer) == n, (name, k)
             assert len({v for v, _ in answer}) == n, (name, k)
+
+
+def _index_bytes(tsd, gct):
+    """Both artifacts in canonical byte form — key order counts."""
+    return (dumps_payload(tsd.to_payload(include_profile=False)),
+            dumps_payload(gct.to_payload(include_profile=False)))
+
+
+def _observe(snapshot: Snapshot):
+    """Everything a reader can see of a snapshot, deep-copied."""
+    graph = snapshot.graph_view
+    vertices = list(graph.vertices())
+    return {
+        "rankings": {(k, r): _canonical(
+            snapshot.top_r(k, r, collect_contexts=False))
+            for k, r in _sweep(graph)},
+        "forests": {v: snapshot.tsd.forest(v) for v in vertices},
+        "supernodes": {v: snapshot.gct.supernodes(v) for v in vertices},
+        "superedges": {v: snapshot.gct.superedges(v) for v in vertices},
+        "bytes": _index_bytes(snapshot.tsd, snapshot.gct),
+    }
+
+
+def _batches(graph: Graph, rng: random.Random):
+    """Seeded batches, each valid on the graph its predecessors left:
+    same-vertex-set, vertex-attaching, one that deletes a vertex's last
+    edges (it stays, isolated, with an empty record), same-set again."""
+    graph = graph.copy()
+
+    def applied(batch):
+        for op, u, v in batch:
+            (graph.add_edge if op == "insert" else graph.remove_edge)(u, v)
+        return batch
+
+    def same_set():
+        batch = [("delete", u, v) for u, v in
+                 rng.sample(sorted(graph.edges(), key=repr),
+                            min(2, graph.num_edges))]
+        vertices = list(graph.vertices())
+        absent = [(u, v) for i, u in enumerate(vertices)
+                  for v in vertices[i + 1:] if not graph.has_edge(u, v)]
+        batch += [("insert", u, v)
+                  for u, v in rng.sample(absent, min(2, len(absent)))]
+        return applied(batch)
+
+    def attaching():
+        anchors = rng.sample(list(graph.vertices()),
+                             min(3, graph.num_vertices))
+        batch = [("insert", "new-a", "new-b")]
+        batch += [("insert", anchor, "new-a") for anchor in anchors]
+        batch += [("insert", anchor, "new-b") for anchor in anchors[:1]]
+        return applied(batch)
+
+    def isolating():
+        connected = [v for v in graph.vertices() if graph.degree(v)]
+        victim = rng.choice(connected)
+        return applied([("delete", victim, u) for u in
+                        sorted(graph.neighbors(victim), key=repr)])
+
+    for make in (same_set, attaching, isolating, same_set):
+        batch = make()
+        if batch:
+            yield batch
+
+
+class TestIncrementalSuccessors:
+    def test_successors_encode_like_scratch_builds(self, case):
+        """After every batch the shared-state successor indexes equal a
+        from-scratch build byte for byte (dict order included), rank
+        like the online baseline, and leave every earlier snapshot —
+        whose records they share — bit-identical."""
+        name, graph, _ = case
+        rng = random.Random(f"successors-{name}")
+        current = Snapshot.build(graph)
+        held = [(current, _observe(current))]
+        for batch in _batches(graph, rng):
+            current, report = apply_batch(current, batch)
+            after = current.graph_view
+            assert _index_bytes(current.tsd, current.gct) == \
+                _index_bytes(*build_indexes(after)), (name, batch)
+            for k, r in _sweep(after):
+                assert _canonical(current.top_r(k, r, False)) == \
+                    _canonical(online_search(after, k, r)), (name, k, r)
+            held.append((current, _observe(current)))
+        # Mutation hooks on the newest index must not reach the others.
+        vertices = list(current.graph_view.vertices())
+        current.tsd.replace_forest(vertices[0], [])
+        current.tsd.drop_vertex(vertices[-1])
+        for snapshot, seen in held[:-1]:
+            assert _observe(snapshot) == seen, name
+
+    def test_successor_drops_vertices(self, case):
+        """The shrunk-vertex-set leg, driven directly (an edge batch
+        never removes a vertex): dropping ``x`` and repairing ``N(x)``
+        equals a from-scratch build of the graph without ``x``."""
+        name, graph, _ = case
+        connected = [v for v in graph.vertices() if graph.degree(v)]
+        if not connected:
+            pytest.skip("no vertex with an ego-network to lose")
+        victim = random.Random(f"drop-{name}").choice(connected)
+        tsd, gct = build_indexes(graph)
+        before = _index_bytes(tsd, gct)
+        smaller = graph.copy()
+        neighbours = set(smaller.neighbors(victim))
+        smaller.remove_vertex(victim)
+        order = list(smaller.vertices())
+        position = {v: i for i, v in enumerate(order)}
+        targets = sorted(neighbours, key=position.__getitem__)
+        repaired = repair_forests(smaller, targets)
+        forests = {v: repaired[v] for v in targets}
+        next_tsd = tsd.successor(order, forests, dropped=[victim])
+        next_gct = gct.successor(
+            order, {v: assemble_from_forest(forest, position)
+                    for v, forest in forests.items()}, dropped=[victim])
+        assert _index_bytes(next_tsd, next_gct) == \
+            _index_bytes(*build_indexes(smaller)), name
+        assert victim not in next_tsd and victim not in next_gct
+        assert _index_bytes(tsd, gct) == before, name

@@ -81,6 +81,32 @@ class TestGraphFingerprint:
         assert graph_fingerprint(g) == graph_fingerprint(g.copy())
         assert graph_fingerprint(g) == graph_fingerprint(g.copy().copy())
 
+    def test_golden_store_keys(self, figure1):
+        """The digest is the store key a restarted process recomputes
+        from the graph file: computing it differently must never change
+        it, or every store on disk is orphaned."""
+        assert graph_fingerprint(figure1) == (
+            "137b7028058fcf9d6fad3ea47c85b61c"
+            "404b277c64aaca96f36d03aaefa75cf6")
+        labelled = Graph(edges=[
+            ((0, "a"), (1, "b")), ((1, "b"), (2, "c")),
+            ((0, "a"), (2, "c")), ((2, "c"), (3, "\u00e9\"x"))])
+        assert graph_fingerprint(labelled) == (
+            "7213f86f7399493e7da7dcabab1902a7"
+            "de0b5f852c2cb3043168984972ff67fc")
+
+    def test_stable_across_an_update_round_trip(self, figure1):
+        """Insert then delete the same edges: the content is back, and
+        so is the key — of the snapshot's graph and of its copy."""
+        key = graph_fingerprint(figure1)
+        snap = Snapshot.build(figure1)
+        there, _ = apply_batch(snap, [insert("s1", "s2"), delete("x1", "x2")])
+        back, _ = apply_batch(there, [delete("s1", "s2"), insert("x1", "x2")])
+        assert graph_fingerprint(there.graph_view) != key
+        assert graph_fingerprint(back.graph_view) == key
+        assert graph_fingerprint(back.graph) == key
+        assert graph_fingerprint(back.graph_view.copy()) == key
+
     def test_sensitive_to_edges_and_order(self):
         g = Graph(edges=[(0, 1), (1, 2)])
         h = Graph(edges=[(0, 1), (1, 2), (0, 2)])
@@ -364,6 +390,29 @@ class TestApplyBatch:
             assert _ranked(nxt.top_r(k, r)) == \
                 _ranked(online_search(expected, k, r)), (k, r)
 
+    def test_unaffected_records_are_shared_not_copied(self):
+        """A batch costs its affected records: every other forest, GCT
+        entry and derived column of the next indexes is the very object
+        the previous snapshot holds, under fresh top-level dicts."""
+        graph = _random_graph(40, 0.15, 21)
+        snap = Snapshot.build(graph)
+        u, v = next(iter(graph.edges()))
+        nxt, report = apply_batch(snap, [delete(u, v), insert(0, "fresh")])
+        untouched = [w for w in graph.vertices()
+                     if w not in report.affected_vertices]
+        assert untouched and "fresh" in report.affected_vertices
+        pairs = [(snap.tsd._forests, nxt.tsd._forests),
+                 (snap.tsd._weights, nxt.tsd._weights),
+                 (snap.gct._supernodes, nxt.gct._supernodes),
+                 (snap.gct._superedges, nxt.gct._superedges),
+                 (snap.gct._tau_sorted, nxt.gct._tau_sorted),
+                 (snap.gct._weight_sorted, nxt.gct._weight_sorted)]
+        for old, new in pairs:
+            assert old is not new
+            assert "fresh" in new and "fresh" not in old
+            assert all(new[w] is old[w] for w in untouched)
+            assert list(new) == list(nxt.graph_view.vertices())
+
     def test_repaired_indexes_structurally_fresh(self):
         """Affected-vertex repair must equal a from-scratch build, not
         merely answer queries identically."""
@@ -507,6 +556,28 @@ class TestDiversityService:
         assert "updates applied:   1" in text
         assert "update batches:" in text
         assert len(service.update_reports()) == 1
+
+    def test_report_ledger_is_a_window_with_exact_totals(self):
+        """update_reports() keeps the latest RECENT_REPORTS ledgers; the
+        /stats counters stay exact past the window."""
+        from repro.service.service import RECENT_REPORTS
+        service = DiversityService.start(_two_cliques())
+        batches = RECENT_REPORTS + 5
+        for i in range(batches):
+            op = insert if i % 2 == 0 else delete
+            service.apply_updates([op("a0", "b0"), op("a1", "b1")])
+        reports = service.update_reports()
+        assert len(reports) == RECENT_REPORTS
+        assert all(report.num_updates == 2 for report in reports)
+        stats = service.stats_payload()
+        assert stats["update_batches"] == batches
+        assert stats["updates_applied"] == 2 * batches
+        assert stats["version"] == batches
+        text = service.stats_summary()
+        assert f"({batches} batches)" in text
+        assert f"  [{batches - RECENT_REPORTS}] " in text
+        assert f"  [{batches - 1}] " in text
+        assert f"  [{batches - RECENT_REPORTS - 1}] " not in text
 
     def test_score_and_contexts_pass_through(self, figure1):
         service = DiversityService.start(figure1)

@@ -16,8 +16,13 @@ Four contracts under test:
   records (dead bytes accounted), ``compact_artifact`` reclaims them,
   and the store's ``convert`` migrates lineages codec-to-codec in
   place — all answer-preserving.
+* **Restricted delta payloads.**  The store hands ``write_delta`` only
+  the changed vertices' records; the bytes equal a delta over the full
+  payload, and every refused delta still ends in a complete artifact.
 """
 
+import json
+import random
 import threading
 
 import pytest
@@ -504,3 +509,169 @@ class TestStoreCodec:
         store_b.put(other, tsd=TSDIndex.build(other))
         store_a.refresh()
         assert store_a.has(other)
+
+
+# ----------------------------------------------------------------------
+# The store's delta path: restricted payloads, full-write fallbacks
+# ----------------------------------------------------------------------
+class TestRestrictedDeltaWrites:
+    @pytest.fixture
+    def graph(self):
+        return add_planted_cliques(erdos_renyi(22, 0.15, seed=41), [6, 4],
+                                   seed=42)
+
+    @staticmethod
+    def _batch(graph, rng):
+        """2 deletes + 2 inserts among the vertices ``graph`` has."""
+        vertices = list(graph.vertices())
+        absent = [(u, v) for i, u in enumerate(vertices)
+                  for v in vertices[i + 1:] if not graph.has_edge(u, v)]
+        return ([("delete", u, v) for u, v in
+                 rng.sample(sorted(graph.edges()), 2)]
+                + [("insert", u, v) for u, v in rng.sample(absent, 2)])
+
+    @staticmethod
+    def _current(service):
+        snapshot = service.snapshot
+        return service.store.current(snapshot.graph_view, key=snapshot.key)
+
+    def _indexes(self, service):
+        return (("tsd", service.snapshot.tsd), ("gct", service.snapshot.gct))
+
+    def test_store_deltas_equal_deltas_over_the_full_payload(self, graph,
+                                                             tmp_path):
+        """Over a seeded batch sequence every ``tsd.bin``/``gct.bin``
+        the store writes from ``to_payload(only=changed)`` is byte for
+        byte what ``write_delta`` makes of the complete payload."""
+        from repro.service import DiversityService
+        from repro.service.store import IndexStore
+        store = IndexStore(tmp_path / "store", codec="bin")
+        service = DiversityService.start(graph, store=store)
+        rng = random.Random(43)
+        for step in range(5):
+            before = self._current(service)
+            report = service.apply_updates(
+                self._batch(service.snapshot.graph_view, rng))
+            after = self._current(service)
+            assert after.version == before.version + 1
+            for name, index in self._indexes(service):
+                reference = tmp_path / f"reference-{step}-{name}.bin"
+                assert write_delta(store.root / before.artifacts[name],
+                                   reference, index.to_payload(),
+                                   report.affected_vertices,
+                                   fingerprint=after.key)
+                written = store.root / after.artifacts[name]
+                assert written.read_bytes() == reference.read_bytes(), \
+                    (step, name)
+        for name, index in self._indexes(service):
+            with ArtifactReader(store.root / after.artifacts[name]) as r:
+                assert r.stats()["dead_bytes"] > 0  # a delta chain
+                r.verify_checksum()
+            stored = read_payload(store.root / after.artifacts[name])
+            stored.pop("build_profile", None)  # a delta keeps its base's
+            assert stored == index.to_payload()
+
+    def test_restricted_payload_holds_only_the_changed_records(self, graph):
+        tsd, gct = TSDIndex.build(graph), GCTIndex.build(graph)
+        vertices = list(graph.vertices())
+        changed = {vertices[7], vertices[2], "not-a-vertex"}
+        for index, sections in ((tsd, ["forests"]),
+                                (gct, ["supernodes", "superedges"])):
+            full = index.to_payload()
+            part = index.to_payload(only=changed)
+            assert part["vertices"] == full["vertices"]
+            for section in sections:
+                assert list(part[section]) == ["2", "7"]  # position order
+                assert all(part[section][key] == full[section][key]
+                           for key in part[section])
+
+    def test_changed_vertex_set_falls_back_to_a_full_artifact(self, graph,
+                                                              tmp_path):
+        from repro.service import DiversityService
+        from repro.service.store import IndexStore
+        store = IndexStore(tmp_path, codec="bin")
+        service = DiversityService.start(graph, store=store)
+        anchor = next(iter(graph.vertices()))
+        service.apply_updates([("insert", anchor, "newcomer")])
+        after = self._current(service)
+        for name, index in self._indexes(service):
+            assert (store.root / after.artifacts[name]).read_bytes() == \
+                encode_artifact(index.to_payload(), fingerprint=after.key)
+
+    def test_missing_base_falls_back_to_a_full_artifact(self, graph,
+                                                        tmp_path):
+        from repro.service import DiversityService
+        from repro.service.store import IndexStore
+        store = IndexStore(tmp_path, codec="bin")
+        service = DiversityService.start(graph, store=store)
+        before = self._current(service)
+        for name in ("tsd", "gct"):
+            (store.root / before.artifacts[name]).unlink()
+        service.apply_updates(self._batch(graph, random.Random(44)))
+        after = self._current(service)
+        for name, index in self._indexes(service):
+            assert (store.root / after.artifacts[name]).read_bytes() == \
+                encode_artifact(index.to_payload(), fingerprint=after.key)
+
+    def test_json_codec_writes_the_complete_payload(self, graph, tmp_path):
+        from repro.service import DiversityService
+        from repro.service.store import IndexStore
+        store = IndexStore(tmp_path)
+        service = DiversityService.start(graph, store=store)
+        service.apply_updates(self._batch(graph, random.Random(45)))
+        after = self._current(service)
+        for name, index in self._indexes(service):
+            path = store.root / after.artifacts[name]
+            assert path.suffix == ".json"
+            assert json.loads(path.read_text(encoding="utf-8")) == \
+                json.loads(dumps_payload(index.to_payload()))
+
+    def test_warm_mmap_service_applies_its_first_batch_as_a_delta(
+            self, graph, tmp_path):
+        """A warm-started service still serving from the mmap applies a
+        batch: oracle-identical rankings, a delta (not full) artifact,
+        and the lazy predecessor snapshot is neither materialised nor
+        disturbed."""
+        from repro.core.online import online_search
+        from repro.service import DiversityService
+        from repro.service.store import IndexStore
+        DiversityService.start(graph, store=IndexStore(tmp_path, codec="bin"))
+        store = IndexStore(tmp_path, codec="bin")
+        warm = DiversityService.warm(graph, store)
+        held = warm.snapshot
+        assert held.tsd._weights is None and held.gct._tau_sorted is None
+
+        def look():
+            answers = [index.top_r(k, 30, collect_contexts=False)
+                       for k in (2, 3, 4) for index in (held.tsd, held.gct)]
+            return [(a.vertices, a.scores) for a in answers]
+
+        seen = look()
+        before = self._current(warm)
+
+        batch = self._batch(graph, random.Random(46))
+        report = warm.apply_updates(batch)
+        expected = graph.copy()
+        for op, u, v in batch:
+            (expected.add_edge if op == "insert"
+             else expected.remove_edge)(u, v)
+        for k in (2, 3, 4, 5):
+            got = warm.top_r(k, 30, collect_contexts=False)
+            oracle = online_search(expected, k, 30)
+            assert (got.vertices, got.scores) == \
+                (oracle.vertices, oracle.scores), k
+
+        after = self._current(warm)
+        for name, index in self._indexes(warm):
+            reference = tmp_path / f"reference-{name}.bin"
+            assert write_delta(store.root / before.artifacts[name],
+                               reference, index.to_payload(),
+                               report.affected_vertices,
+                               fingerprint=after.key)
+            assert (store.root / after.artifacts[name]).read_bytes() == \
+                reference.read_bytes()
+            with ArtifactReader(store.root / after.artifacts[name]) as r:
+                assert r.stats()["dead_bytes"] > 0
+
+        assert held.tsd._weights is None and held.gct._tau_sorted is None
+        assert look() == seen
