@@ -18,11 +18,15 @@ GCT improves on the TSD approach in three ways, all reproduced here:
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
+from array import array
+from bisect import bisect_left
+from itertools import compress
 from pathlib import Path
 from typing import (
-    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import IndexFormatError, InvalidParameterError
@@ -31,7 +35,6 @@ from repro.graph.egonet import iter_ego_edge_lists
 from repro.truss.bitmap_decomposition import bitmap_truss_decomposition
 from repro.core.bounds import count_at_least
 from repro.core.results import (
-    CanonicalTopR,
     SearchResult,
     build_entries,
     canonical_zero_fill,
@@ -52,6 +55,12 @@ from repro.util.timing import StopWatch
 # i/j indexing the vertex's supernode list.
 Supernode = Tuple[int, Tuple[Vertex, ...]]
 Superedge = Tuple[int, int, int]
+
+# Score postings: threshold k -> (graph positions ascending, scores) of
+# the vertices that score > 0 at k, as parallel ``array('I')`` columns.
+Postings = Dict[int, Tuple[array, array]]
+
+_NO_POSTINGS: Tuple[array, array] = (array("I"), array("I"))
 
 _PERSIST_VERSION = 1
 
@@ -157,6 +166,23 @@ def _weights_descending(edges: Iterable[Superedge]) -> List[int]:
     return sorted((weight for _, _, weight in edges), reverse=True)
 
 
+def _score_steps(taus: Sequence[int], weights: Sequence[int]
+                 ) -> Dict[int, int]:
+    """Lemma 3 as a step function: ``k -> N_k - M_k`` for every ``k``
+    from 2 to the largest tau, from the two descending columns (one
+    walk up both from their small ends, no search per ``k``)."""
+    steps: Dict[int, int] = {}
+    if taus:
+        n_k, m_k = len(taus), len(weights)
+        for k in range(2, taus[0] + 1):
+            while taus[n_k - 1] < k:    # stops by n_k = 1: taus[0] >= k
+                n_k -= 1
+            while m_k and weights[m_k - 1] < k:
+                m_k -= 1
+            steps[k] = n_k - m_k
+    return steps
+
+
 class GCTIndex:
     """GCT-index of a graph: supernode/superedge forests per vertex.
 
@@ -166,6 +192,17 @@ class GCTIndex:
     >>> index = GCTIndex.build(figure1_graph())
     >>> index.score("v", 4)
     3
+
+    Whole-graph answers (:meth:`top_r`, :meth:`ranking`,
+    :meth:`scores_for_all`) are read off *score postings*: per
+    threshold, the vertices scoring > 0 with their scores, derived from
+    the Lemma-3 columns by the first scan of an index object and handed
+    on, patched, to its :meth:`successor`.  Point lookups
+    (:meth:`score`, :meth:`score_profile`, :meth:`contexts`) read the
+    per-vertex columns and records.
+
+    >>> index.ranking(4)[:3]    # all 17 vertices: score, then insertion
+    [('v', 3), ('x1', 1), ('x2', 1)]
     """
 
     def __init__(self,
@@ -174,18 +211,20 @@ class GCTIndex:
                  vertex_order: Sequence[Vertex],
                  build_profile: Optional[BuildProfile] = None,
                  tau_sorted: Optional[Dict[Vertex, List[int]]] = None,
-                 weight_sorted: Optional[Dict[Vertex, List[int]]] = None
+                 weight_sorted: Optional[Dict[Vertex, List[int]]] = None,
+                 postings: Optional[Postings] = None
                  ) -> None:
         self._supernodes = supernodes
         self._superedges = superedges
         self._vertices: List[Vertex] = list(vertex_order)
         # Sorted (descending) weight arrays drive O(log) Lemma-3 queries.
         # With lazy providers (Mappings exposing ``tau_sorted(v)`` /
-        # ``weight_sorted(v)``, e.g. the mmap-backed maps in
-        # :mod:`repro.storage.lazy`) nothing is precomputed: the sorted
-        # arrays decode per vertex from the record prefix on demand.
-        # ``tau_sorted`` / ``weight_sorted`` hand over columns already
-        # derived for exactly these records (:meth:`successor`).
+        # ``weight_sorted(v)`` / ``summaries()``, e.g. the mmap-backed
+        # maps in :mod:`repro.storage.lazy`) nothing is precomputed: the
+        # sorted arrays decode per vertex from the record prefix on
+        # demand.  ``tau_sorted`` / ``weight_sorted`` / ``postings``
+        # hand over columns already derived for exactly these records;
+        # only :meth:`successor` passes them.
         if tau_sorted is not None:
             self._tau_sorted: Optional[Dict[Vertex, List[int]]] = tau_sorted
         elif callable(getattr(supernodes, "tau_sorted", None)):
@@ -201,6 +240,17 @@ class GCTIndex:
         else:
             self._weight_sorted = {v: _weights_descending(edges)
                                    for v, edges in superedges.items()}
+        # Score postings, derived on the first scan (None until then).
+        # Published by one attribute assignment of a finished structure
+        # that is never mutated afterwards, so the concurrent readers of
+        # a published snapshot need no lock: racing derivations are
+        # redundant but identical (the idiom of ``Snapshot._scores``).
+        self._postings: Optional[Postings] = postings
+        # The ``(vertex, 0)`` rows every ranking's zero tail is made of,
+        # one per vertex in graph order: built by the first
+        # :meth:`ranking`, published and handed on like the postings, so
+        # a ranking allocates its positive rows only.
+        self._zero_rows: Optional[List[Tuple[Vertex, int]]] = None
         self.build_profile = build_profile
 
     def _taus(self, v: Vertex) -> List[int]:
@@ -286,24 +336,75 @@ class GCTIndex:
         ``dropped`` names vertices that left the graph.  Every other
         record and Lemma-3 column is shared with this index.  A
         lazily-loaded index decodes its records once here (a read-only
-        mmap artifact cannot be patched) and stays lazy itself.
+        mmap artifact cannot be patched) and stays lazy itself.  An
+        index that has derived its score postings hands them on patched
+        (:meth:`_patched_postings`); ``dropped`` vertices or a reordered
+        ``vertex_order`` shift positions, and the successor re-derives.
         """
         old_nodes, old_edges, old_taus, old_weights = self._eager_columns()
+        dropped = tuple(dropped)
+        order = list(vertex_order)
         nodes = {v: entry[0] for v, entry in entries.items()}
         edges = {v: entry[1] for v, entry in entries.items()}
-        return GCTIndex(
+        taus = {v: _taus_descending(found) for v, found in nodes.items()}
+        weights = {v: _weights_descending(found)
+                   for v, found in edges.items()}
+        # Derived postings follow the batch row by row while positions
+        # stay put (vertices only appended); otherwise, and when nobody
+        # has scanned this index, the successor derives its own on demand.
+        postings = None
+        if (self._postings is not None and not dropped
+                and order[:len(self._vertices)] == self._vertices):
+            postings = self._patched_postings(order, old_taus, taus, weights)
+        successor = GCTIndex(
             carry_records(old_nodes, nodes, dropped),
             carry_records(old_edges, edges, dropped),
-            vertex_order,
-            tau_sorted=carry_records(
-                old_taus,
-                {v: _taus_descending(found) for v, found in nodes.items()},
-                dropped),
-            weight_sorted=carry_records(
-                old_weights,
-                {v: _weights_descending(found)
-                 for v, found in edges.items()},
-                dropped))
+            order,
+            tau_sorted=carry_records(old_taus, taus, dropped),
+            weight_sorted=carry_records(old_weights, weights, dropped),
+            postings=postings)
+        if postings is not None and self._zero_rows is not None:
+            successor._zero_rows = self._zero_rows + [
+                (v, 0) for v in order[len(self._vertices):]]
+        return successor
+
+    def _patched_postings(self, order: Sequence[Vertex],
+                          old_taus: Mapping[Vertex, List[int]],
+                          taus: Mapping[Vertex, List[int]],
+                          weights: Mapping[Vertex, List[int]]) -> Postings:
+        """This index's postings with the rows of the reassembled
+        vertices (``taus``/``weights``: their new columns) replaced.
+
+        Copy-on-write: a threshold's arrays are copied the first time a
+        row of theirs changes and shared with this index otherwise, so
+        a batch costs O(affected × thresholds) bisects plus the touched
+        arrays' memcpy, and this index's postings never change.
+        """
+        postings = dict(self._postings)
+        owned: Set[int] = set()
+        position = {v: i for i, v in enumerate(order) if v in taus}
+        for v, found in taus.items():
+            i = position[v]
+            steps = _score_steps(found, weights[v])
+            before = old_taus.get(v)
+            top = max(before[0] if before else 0, found[0] if found else 0)
+            for k in range(2, top + 1):
+                if k not in owned:
+                    positions, scores = postings.get(k, _NO_POSTINGS)
+                    postings[k] = (positions[:], scores[:])
+                    owned.add(k)
+                positions, scores = postings[k]
+                j = bisect_left(positions, i)
+                if j < len(positions) and positions[j] == i:
+                    del positions[j], scores[j]
+                score = steps.get(k, 0)
+                if score > 0:
+                    positions.insert(j, i)
+                    scores.insert(j, score)
+        for k in owned:
+            if not postings[k][0]:
+                del postings[k]
+        return postings
 
     def _eager_columns(self) -> Tuple[Dict[Vertex, List[Supernode]],
                                       Dict[Vertex, List[Superedge]],
@@ -379,43 +480,103 @@ class GCTIndex:
             contexts.append(context)
         return contexts
 
-    def scores_for_all(self, k: int) -> Dict[Vertex, int]:
-        """``score(v)`` for every indexed vertex at one threshold.
+    def _summaries(self) -> Iterator[Tuple[int, Sequence[int],
+                                            Sequence[int]]]:
+        """``(graph position, taus, superedge weights)`` (both
+        descending) of every indexed vertex, in position order."""
+        if self._tau_sorted is None or self._weight_sorted is None:
+            return self._supernodes.summaries()
+        taus, weights = self._tau_sorted, self._weight_sorted
+        return ((i, taus[v], weights[v])
+                for i, v in enumerate(self._vertices))
 
-        Two binary searches per vertex — the batch scoring path the
+    def _postings_at(self, k: int) -> Tuple[array, array]:
+        """``(positions ascending, scores)`` of the vertices scoring
+        > 0 at ``k`` — read-only; derives every threshold's on first
+        use (one pass over the Lemma-3 columns, no record decode).
+
+        ``score(v, k) > 0`` iff ``v`` has a supernode of trussness
+        ≥ ``k``, so all thresholds together hold ``Σ_v (max tau(v) − 1)
+        ≤ 2m`` rows however many thresholds are ever asked.
+        """
+        postings = self._postings
+        if postings is None:
+            postings = {}
+            for i, taus, weights in self._summaries():
+                for at, score in _score_steps(taus, weights).items():
+                    if score > 0:
+                        column = postings.get(at)
+                        if column is None:
+                            column = postings[at] = (array("I"), array("I"))
+                        column[0].append(i)
+                        column[1].append(score)
+            self._postings = postings  # atomic publish, see __init__
+        return postings.get(k, _NO_POSTINGS)
+
+    def _best(self, k: int, r: int) -> List[Tuple[Vertex, int]]:
+        """The ``r`` best positive-score ``(vertex, score)`` pairs at
+        ``k`` in canonical order (fewer when fewer score > 0)."""
+        positions, scores = self._postings_at(k)
+        vertices = self._vertices
+        # nlargest is stable and positions ascend, so ties come out in
+        # graph insertion order — the canonical tie-break.
+        return [(vertices[positions[j]], scores[j])
+                for j in heapq.nlargest(r, range(len(positions)),
+                                        key=scores.__getitem__)]
+
+    def scores_for_all(self, k: int) -> Dict[Vertex, int]:
+        """``score(v)`` for every indexed vertex at one threshold, keyed
+        in graph insertion order — the batch scoring path the
         effectiveness experiments use.
         """
         self._check_k(k)
-        return {v: self.score(v, k) for v in self._vertices}
+        positions, scores = self._postings_at(k)
+        score_map = dict.fromkeys(self._vertices, 0)
+        score_map.update(zip(map(self._vertices.__getitem__, positions),
+                             scores))
+        return score_map
+
+    def ranking(self, k: int) -> List[Tuple[Vertex, int]]:
+        """Every indexed vertex with its score at ``k``, in canonical
+        order: descending score, ties (the zero tail included) in graph
+        insertion order.  ``top_r(k, r)`` is its first ``r`` entries.
+
+        The zero tail is the index's shared ``(vertex, 0)`` rows minus
+        the postings' positions: n fresh tuples per call would be n
+        collector-tracked allocations, and on a server the full GC
+        cycles they trigger land on reads.
+        """
+        self._check_k(k)
+        positions, _ = self._postings_at(k)
+        zero_rows = self._zero_rows
+        if zero_rows is None:   # atomic publish, like the postings
+            zero_rows = self._zero_rows = [(v, 0) for v in self._vertices]
+        in_tail = bytearray(b"\x01") * len(zero_rows)
+        for i in positions:
+            in_tail[i] = 0
+        ranked = self._best(k, len(positions))
+        ranked.extend(compress(zero_rows, in_tail))
+        return ranked
 
     def score_profile(self, v: Vertex) -> Dict[int, int]:
         """``score(v)`` for every ``k`` from 2 to the max supernode tau."""
         self._check_vertex(v)
-        taus = self._taus(v)
-        if not taus or taus[0] < 2:
-            return {}
-        weights = self._edge_weights(v)
-        return {
-            k: count_at_least(taus, k) - count_at_least(weights, k)
-            for k in range(2, taus[0] + 1)
-        }
+        return _score_steps(self._taus(v), self._edge_weights(v))
 
     def top_r(self, k: int, r: int, collect_contexts: bool = True) -> SearchResult:
-        """GCT top-r search: score every vertex in O(log) each, pick r.
+        """GCT top-r search: the ``r`` best of the ``k``-postings.
 
-        No pruning is needed — Lemma 3 makes every score almost free, so
-        GCT simply evaluates all vertices (the paper's O(m) query bound).
+        No pruning is needed — the postings hold exactly the vertices
+        that score > 0 at ``k`` with their Lemma-3 scores, so a query
+        costs O(postings_k + r) and decodes records only for the
+        winners' contexts.
         """
         self._check_k(k)
         if r < 1:
             raise InvalidParameterError(f"r must be >= 1, got {r}")
         start = time.perf_counter()
         r = min(r, max(len(self._vertices), 1))
-        position = {v: i for i, v in enumerate(self._vertices)}
-        collector = CanonicalTopR(r, position.__getitem__)
-        for v in self._vertices:
-            collector.offer(v, self.score(v, k))
-        ranked = canonical_zero_fill(collector.ranked(), r, self._vertices)
+        ranked = canonical_zero_fill(self._best(k, r), r, self._vertices)
         entries = build_entries(
             ranked, lambda v: self.contexts(v, k), collect_contexts)
         return SearchResult(

@@ -139,8 +139,6 @@ class QueryEngine:
         self.config = config or EngineConfig()
         self.planner = QueryPlanner(self.config)
         self._cache = ScoreMapCache(self.config.score_cache_size)
-        self._position: Dict[Vertex, int] = {
-            v: i for i, v in enumerate(graph.vertices())}
         self._tsd: Optional[TSDIndex] = None
         self._gct: Optional[GCTIndex] = None
         self._hybrid: Optional[HybridSearcher] = None
@@ -266,7 +264,6 @@ class QueryEngine:
         self._warm_source = None  # stored artifacts are stale too
         self._warm_key = None
         self._cache.clear()
-        self._position = {v: i for i, v in enumerate(self._graph.vertices())}
 
     # ------------------------------------------------------------------
     # Persistence and snapshot hand-off (the service layer's hooks)
@@ -455,11 +452,11 @@ class QueryEngine:
                         collect_contexts: bool) -> SearchResult:
         """GCT answer through the per-``k`` score-map cache.
 
-        On a cache miss the engine scores every vertex once (Lemma 3)
-        and memoises both the map and the canonical ranking; on a hit
-        the answer is a slice of the cached ranking.  ``search_space``
-        reports actual score computations: ``|V|`` on a miss, 0 on a
-        hit.
+        On a cache miss the engine reads the threshold's score map and
+        canonical ranking off the index's score postings
+        (:meth:`GCTIndex.ranking`) and memoises both; on a hit the
+        answer is a slice of the cached ranking.  ``search_space``
+        reports the vertices scored: ``|V|`` on a miss, 0 on a hit.
 
         The index is touched lazily: a cache hit with
         ``collect_contexts=False`` needs no index at all, so it must
@@ -471,9 +468,7 @@ class QueryEngine:
         if entry is None:
             index = self.gct_index
             score_map = index.scores_for_all(k)
-            ranking = sorted(
-                score_map.items(),
-                key=lambda pair: (-pair[1], self._position[pair[0]]))
+            ranking = index.ranking(k)
             self._cache.put(k, score_map, ranking)
             search_space = len(score_map)
         else:

@@ -109,7 +109,7 @@ class Snapshot:
     """
 
     __slots__ = ("_graph", "_tsd", "_gct", "_hybrid", "_scores",
-                 "_position", "version", "key")
+                 "version", "key")
 
     def __init__(self, graph: Graph,
                  tsd: Optional[TSDIndex] = None,
@@ -148,8 +148,6 @@ class Snapshot:
         self._gct = gct if gct is not None else GCTIndex.compress(tsd)
         self._hybrid = hybrid
         self._scores: Dict[int, ScoreEntry] = dict(scores or {})
-        self._position: Dict[Vertex, int] = {
-            v: i for i, v in enumerate(self._graph.vertices())}
         self.version = version
         self.key = key
 
@@ -246,11 +244,7 @@ class Snapshot:
         entry = self._scores.get(k)
         if entry is not None:
             return entry, True
-        score_map = self._gct.scores_for_all(k)
-        ranking = sorted(
-            score_map.items(),
-            key=lambda pair: (-pair[1], self._position[pair[0]]))
-        entry = (score_map, ranking)
+        entry = (self._gct.scores_for_all(k), self._gct.ranking(k))
         self._scores[k] = entry  # atomic publish; idempotent recompute
         return entry, False
 

@@ -7,7 +7,8 @@ replacements backed by an :class:`~repro.storage.reader.ArtifactReader`
 — a lookup decodes exactly one record, an iteration walks the offset
 dictionary, and nothing is materialised up front.  The index classes
 duck-type the extra accessors (``weights`` / ``max_weight`` /
-``tau_sorted`` / ``weight_sorted``) to skip their eager precomputation;
+``tau_sorted`` / ``weight_sorted`` / ``summaries``) to skip their eager
+precomputation;
 ``core`` never imports ``storage``, so the dependency points one way.
 
 The canonical ranking contract holds bit-for-bit over these maps: the
@@ -103,6 +104,12 @@ class LazySupernodeMap(_LazyRecordMap):
     def tau_sorted(self, v) -> List[int]:
         """Descending supernode taus — Lemma-3 prefix decode."""
         return self._reader.summary(self._pos(v))[0]
+
+    def summaries(self) -> Iterator[Tuple[int, List[int], List[int]]]:
+        """``(position, taus, superedge weights)`` of every record in
+        position order — one bulk pass that bypasses the reader's LRU
+        (what :class:`GCTIndex` derives its score postings from)."""
+        return self._reader.summaries()
 
 
 class LazySuperedgeMap(_LazyRecordMap):

@@ -25,7 +25,7 @@ import mmap
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ArtifactFormatError
 from repro.storage.format import (
@@ -199,12 +199,15 @@ class ArtifactReader:
         """Whether position ``pos`` has a stored record."""
         return self._entry(pos)[1] > 0
 
-    def _require(self, pos: int, want_kind: int) -> Tuple[int, int]:
+    def _check_kind(self, want_kind: int) -> None:
         if self.header.kind != want_kind:
             raise ArtifactFormatError(
                 self._source,
                 f"this is a {self.kind_name} artifact, not "
                 f"{KIND_NAMES[want_kind]}")
+
+    def _require(self, pos: int, want_kind: int) -> Tuple[int, int]:
+        self._check_kind(want_kind)
         off, length = self._entry(pos)
         if length == 0:
             raise ArtifactFormatError(
@@ -279,6 +282,23 @@ class ArtifactReader:
             return decode_gct_summary(self._mmap, off, length,
                                       self._source)
         return self._cached(("summary", pos), produce)
+
+    def summaries(self) -> Iterator[Tuple[int, List[int], List[int]]]:
+        """``(pos, taus desc, superedge weights desc)`` of every stored
+        record, in position order — the whole-index Lemma-3 pass.
+
+        One walk of the offset dictionary that neither reads nor fills
+        the decoded-record LRU (and so never takes its lock): a pass
+        over more records than the LRU holds would evict every record
+        queries had made resident and keep nothing a later pass reuses.
+        """
+        self._check_kind(KIND_GCT)
+        for pos in range(self.header.num_vertices):
+            off, length = self._entry(pos)
+            if length:
+                taus, weights = decode_gct_summary(
+                    self._mmap, off, length, self._source)
+                yield pos, taus, weights
 
     # ------------------------------------------------------------------
     # Integrity and inspection

@@ -7,6 +7,11 @@ from typing import Dict, List, Set
 import networkx as nx
 
 from repro.graph.graph import Graph, Vertex, Edge
+from repro.core.gct import GCTIndex
+from repro.core.online import online_search
+from repro.core.tsd import TSDIndex
+from repro.storage import write_artifact
+from repro.storage.lazy import open_gct_artifact
 
 
 def to_networkx(graph: Graph) -> "nx.Graph":
@@ -85,3 +90,47 @@ def nx_core_numbers(graph: Graph) -> Dict[Vertex, int]:
 
 def nx_triangle_count(graph: Graph) -> int:
     return sum(nx.triangles(to_networkx(graph)).values()) // 3
+
+
+def check_score_postings(graph: Graph, workdir) -> None:
+    """The GCT score-postings contract on one graph, differentially.
+
+    For every threshold from 2 to two past the largest trussness, the
+    postings-backed ``ranking`` / ``scores_for_all`` / ``top_r`` of an
+    eagerly built index, of ``GCTIndex.compress(tsd)`` and of the lazy
+    mmap index over the written artifact must equal what the per-vertex
+    ``score(v, k)`` scan and the online baseline say.
+    """
+    eager = GCTIndex.build(graph)
+    path = workdir / "postings-gct.bin"
+    write_artifact(path, eager.to_payload())
+    indexes = {"eager": eager,
+               "compressed": GCTIndex.compress(TSDIndex.build(graph)),
+               "lazy": open_gct_artifact(path)}
+    vertices = list(graph.vertices())
+    n = len(vertices)
+    max_tau = max((tau for v in vertices for tau, _ in eager.supernodes(v)),
+                  default=0)
+    for k in range(2, max_tau + 3):
+        # Point lookups never touch the postings: the independent scan.
+        scan = [(v, eager.score(v, k)) for v in vertices]
+        ranked = [pair for _, pair in sorted(
+            enumerate(scan), key=lambda item: (-item[1][1], item[0]))]
+        if k > max_tau:
+            assert ranked == [(v, 0) for v in vertices], k
+        for name, index in indexes.items():
+            assert index.ranking(k) == ranked, (name, k)
+            # Equal as a dict *and* in key order.
+            assert list(index.scores_for_all(k).items()) == scan, (name, k)
+            for r in (1, 10, max(n, 1), n + 5):
+                want = online_search(graph, k, r, collect_contexts=False)
+                got = index.top_r(k, r, collect_contexts=False)
+                assert (got.vertices, got.scores, got.r, got.search_space) \
+                    == (want.vertices, want.scores, want.r, n), (name, k, r)
+    # Rankings of one index share their zero-tail rows (no n fresh
+    # tuples per scan): the all-zero rankings hold the very same ones.
+    beyond = max(max_tau, 1) + 1
+    for index in indexes.values():
+        assert all(a is b for a, b in zip(index.ranking(beyond),
+                                          index.ranking(beyond + 1)))
+    indexes["lazy"]._supernodes.reader.close()

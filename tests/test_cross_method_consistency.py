@@ -24,6 +24,8 @@ from repro.core.tsd import TSDIndex
 from repro.core.gct import GCTIndex
 from repro.core.hybrid import HybridSearcher
 from repro.engine import QueryEngine
+from repro.errors import InvalidParameterError
+from tests.helpers import check_score_postings
 
 
 def _ranked(result):
@@ -242,3 +244,25 @@ class TestPropertySweep:
             for result in results[1:]:
                 got = [set(e.contexts) for e in result.entries]
                 assert got == expected, (result.method, k)
+
+
+class TestScorePostings:
+    """GCT answers come off per-threshold score postings, never a
+    per-vertex scan: the column must say what the scan would have."""
+
+    @pytest.mark.parametrize("n,p,seed", GRID_GRAPHS)
+    def test_postings_equal_the_per_vertex_scan(self, n, p, seed, tmp_path):
+        check_score_postings(_random_graph(n, p, seed), tmp_path)
+
+    def test_postings_resolve_ties_by_insertion_order(self, tmp_path):
+        g = tie_heavy_graph()
+        check_score_postings(g, tmp_path)
+        owners = list(g.vertices())[:8]
+        assert GCTIndex.build(g).ranking(3)[:8] == [(o, 1) for o in owners]
+
+    def test_thresholds_below_two_are_rejected(self):
+        gct = GCTIndex.build(tie_heavy_graph())
+        for call in (gct.ranking, gct.scores_for_all,
+                     lambda k: gct.top_r(k, 1)):
+            with pytest.raises(InvalidParameterError):
+                call(1)

@@ -10,10 +10,14 @@ serving surface the system has grown:
 * the immutable :class:`Snapshot` the service layer serves from,
 * the process-sharded cluster **over the wire** (worker processes
   behind the consistent-hash frontend),
+* the GCT *score postings* every index-backed answer is read from
+  (``ranking`` / ``scores_for_all`` / ``top_r`` ≡ the per-vertex
+  ``score`` scan; eager ≡ compressed ≡ lazy mmap),
 * the *incremental* indexes: after each of several update batches the
   successor indexes (which share every unaffected record with their
-  predecessor) encode byte-for-byte like a from-scratch build, and the
-  predecessor snapshot still answers bit-identically.
+  predecessor) encode byte-for-byte like a from-scratch build — their
+  patched score postings included — and the predecessor snapshot still
+  answers bit-identically.
 
 Sweeps include the adversarial corners: ``r > n`` (zero-fill past the
 scored vertices), ``k`` above the maximum trussness (all-zero
@@ -37,6 +41,7 @@ from repro.service.updates import apply_batch
 from repro.cluster import ShardedCluster
 from repro.server import ServerClient
 from repro.util.jsonio import dumps_payload
+from tests.helpers import check_score_postings
 
 #: Trussness thresholds swept per graph; 40 exceeds every graph's
 #: maximum trussness in this family (the biggest planted clique is 7).
@@ -137,6 +142,10 @@ class TestDifferentialRankings:
                 assert _canonical(result) == reference[(k, r)], \
                     (name, method, k, r)
 
+    def test_score_postings_equal_the_per_vertex_scan(self, case, tmp_path):
+        name, graph, _ = case
+        check_score_postings(graph, tmp_path)
+
     def test_snapshot_serves_the_same_rankings(self, case):
         name, graph, reference = case
         snapshot = Snapshot.build(graph)
@@ -220,6 +229,10 @@ def _observe(snapshot: Snapshot):
         "rankings": {(k, r): _canonical(
             snapshot.top_r(k, r, collect_contexts=False))
             for k, r in _sweep(graph)},
+        "gct_rankings": {k: snapshot.gct.ranking(k) for k in K_SWEEP},
+        "gct_top_r": {(k, r): _canonical(
+            snapshot.gct.top_r(k, r, collect_contexts=False))
+            for k, r in _sweep(graph)},
         "forests": {v: snapshot.tsd.forest(v) for v in vertices},
         "supernodes": {v: snapshot.gct.supernodes(v) for v in vertices},
         "superedges": {v: snapshot.gct.superedges(v) for v in vertices},
@@ -230,7 +243,8 @@ def _observe(snapshot: Snapshot):
 def _batches(graph: Graph, rng: random.Random):
     """Seeded batches, each valid on the graph its predecessors left:
     same-vertex-set, vertex-attaching, one that deletes a vertex's last
-    edges (it stays, isolated, with an empty record), same-set again."""
+    edges (it stays, isolated, with an empty record), same-set twice
+    more."""
     graph = graph.copy()
 
     def applied(batch):
@@ -263,10 +277,16 @@ def _batches(graph: Graph, rng: random.Random):
         return applied([("delete", victim, u) for u in
                         sorted(graph.neighbors(victim), key=repr)])
 
-    for make in (same_set, attaching, isolating, same_set):
+    for make in (same_set, attaching, isolating, same_set, same_set):
         batch = make()
         if batch:
             yield batch
+
+
+def _derived_postings(gct):
+    """The index's score postings, derived now if nobody scanned it."""
+    gct.ranking(2)
+    return gct._postings
 
 
 class TestIncrementalSuccessors:
@@ -274,7 +294,10 @@ class TestIncrementalSuccessors:
         """After every batch the shared-state successor indexes equal a
         from-scratch build byte for byte (dict order included), rank
         like the online baseline, and leave every earlier snapshot —
-        whose records they share — bit-identical."""
+        whose records they share — bit-identical.  Each predecessor is
+        warm (``_observe`` queried it), so the successor's score
+        postings are the predecessor's, patched: they must equal, array
+        for array, the ones a scratch build derives."""
         name, graph, _ = case
         rng = random.Random(f"successors-{name}")
         current = Snapshot.build(graph)
@@ -282,8 +305,17 @@ class TestIncrementalSuccessors:
         for batch in _batches(graph, rng):
             current, report = apply_batch(current, batch)
             after = current.graph_view
+            scratch = build_indexes(after)
             assert _index_bytes(current.tsd, current.gct) == \
-                _index_bytes(*build_indexes(after)), (name, batch)
+                _index_bytes(*scratch), (name, batch)
+            assert current.gct._postings is not None, (name, batch)
+            assert current.gct._postings == _derived_postings(scratch[1]), \
+                (name, batch)
+            # ... and so are the shared zero-tail rows: the predecessor's
+            # own tuples, plus one per attached vertex.
+            rows, before = current.gct._zero_rows, held[-1][0].gct._zero_rows
+            assert rows == [(v, 0) for v in after.vertices()], (name, batch)
+            assert all(a is b for a, b in zip(rows, before)), (name, batch)
             for k, r in _sweep(after):
                 assert _canonical(current.top_r(k, r, False)) == \
                     _canonical(online_search(after, k, r)), (name, k, r)
@@ -294,6 +326,19 @@ class TestIncrementalSuccessors:
         current.tsd.drop_vertex(vertices[-1])
         for snapshot, seen in held[:-1]:
             assert _observe(snapshot) == seen, name
+
+    def test_unscanned_predecessor_hands_on_no_postings(self, case):
+        """The update path must not pay for a column nobody asked for:
+        the successor of an index that never derived its postings
+        derives its own on demand — and then like a scratch build."""
+        name, graph, _ = case
+        current = Snapshot.build(graph)
+        for batch in _batches(graph, random.Random(f"unscanned-{name}")):
+            current, _ = apply_batch(current, batch)
+            assert current.gct._postings is None, (name, batch)
+        scratch = build_indexes(current.graph_view)[1]
+        assert _derived_postings(current.gct) == \
+            _derived_postings(scratch), name
 
     def test_successor_drops_vertices(self, case):
         """The shrunk-vertex-set leg, driven directly (an edge batch
@@ -306,6 +351,7 @@ class TestIncrementalSuccessors:
         victim = random.Random(f"drop-{name}").choice(connected)
         tsd, gct = build_indexes(graph)
         before = _index_bytes(tsd, gct)
+        warm = _derived_postings(gct)
         smaller = graph.copy()
         neighbours = set(smaller.neighbors(victim))
         smaller.remove_vertex(victim)
@@ -322,3 +368,9 @@ class TestIncrementalSuccessors:
             _index_bytes(*build_indexes(smaller)), name
         assert victim not in next_tsd and victim not in next_gct
         assert _index_bytes(tsd, gct) == before, name
+        # Dropping a vertex shifts positions: the warm predecessor's
+        # postings are not patched, the successor re-derives its own.
+        assert next_gct._postings is None and gct._postings is warm, name
+        assert next_gct._zero_rows is None, name
+        assert _derived_postings(next_gct) == \
+            _derived_postings(build_indexes(smaller)[1]), name

@@ -15,6 +15,7 @@ The acceptance contract of the subsystem:
 
 import json
 import random
+import sys
 import threading
 
 import pytest
@@ -276,6 +277,47 @@ class TestSnapshot:
         snap = Snapshot(figure1, tsd=TSDIndex.build(figure1))
         assert snap.gct is not None
         assert snap.score("v", 4) == 3
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "mmap"])
+    def test_concurrent_first_scans_of_a_fresh_snapshot(self, lazy,
+                                                        tmp_path):
+        """Eight readers hit a snapshot nobody has scanned: they race to
+        derive the GCT score postings (published lock-free, never
+        mutated afterwards) and every answer is the oracle's."""
+        graph = _random_graph(60, 0.2, seed=11)
+        if lazy:
+            store = IndexStore(tmp_path / "store", codec="bin")
+            DiversityService.start(graph, store)
+            snap = DiversityService.warm(graph, store).snapshot
+            assert snap.gct._tau_sorted is None  # mmap-backed
+        else:
+            snap = Snapshot.build(graph)
+        assert snap.gct._postings is None
+        queries = [(k, r) for k in (2, 3, 4, 5, 9) for r in (1, 7, 70)]
+        expected = {q: _ranked(online_search(graph, *q)) for q in queries}
+        wrong, barrier = [], threading.Barrier(8)
+
+        def reader(seed):
+            order = queries * 3
+            random.Random(seed).shuffle(order)
+            barrier.wait(timeout=30)
+            for k, r in order:
+                if _ranked(snap.top_r(k, r)) != expected[(k, r)]:
+                    wrong.append((seed, k, r))
+
+        threads = [threading.Thread(target=reader, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
     def test_score_and_contexts(self, figure1):
         snap = Snapshot.build(figure1)

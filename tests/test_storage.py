@@ -289,6 +289,54 @@ class TestLazyReader:
         assert not mismatches
 
 
+class TestScanWorkCounts:
+    """Exact counts of what a GCT scan over an mmap index decodes."""
+
+    def test_scans_after_the_first_decode_only_the_winners(self, tmp_path,
+                                                           monkeypatch):
+        """The first scan of a lazy index is one bulk summary pass that
+        stays out of the LRU; every later threshold decodes no summary
+        at all and at most one record per positive-score winner (its
+        contexts)."""
+        from repro.build import build_indexes
+        from repro.datasets.synthetic import powerlaw_cluster
+        from repro.storage import reader as reader_module
+        n = 3000
+        graph = powerlaw_cluster(n, 5, 0.5, seed=7)
+        eager = build_indexes(graph, jobs=1)[1]
+        path = tmp_path / "gct.bin"
+        write_artifact(path, eager.to_payload())
+        calls = {}
+        for name in ("decode_gct_summary", "decode_gct_block"):
+            def counted(*args, _name=name,
+                        _decode=getattr(reader_module, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _decode(*args)
+            monkeypatch.setattr(reader_module, name, counted)
+
+        def winners(result):
+            return sum(1 for score in result.scores if score > 0)
+
+        lazy = open_gct_artifact(path)
+        reader = lazy._supernodes.reader
+        warm_up = lazy.top_r(2, 10)
+        assert calls == {"decode_gct_summary": n,
+                         "decode_gct_block": winners(warm_up)}
+        assert 0 < reader.cache_len() <= winners(warm_up)
+
+        calls.clear()
+        decodable = 0
+        for k in (3, 4, 5, 6):
+            result = lazy.top_r(k, 10)
+            want = eager.top_r(k, 10)
+            assert (result.vertices, result.scores) == \
+                (want.vertices, want.scores), k
+            decodable += winners(result)
+        assert calls.get("decode_gct_summary", 0) == 0
+        assert 0 < calls["decode_gct_block"] <= decodable
+        reader.close()
+
+
 # ----------------------------------------------------------------------
 # Delta writes and page compaction
 # ----------------------------------------------------------------------
