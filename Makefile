@@ -4,7 +4,7 @@
 
 PY ?= python
 
-.PHONY: lint test doctest check smoke-service smoke-server smoke-cluster smoke-parallel-build smoke-mmap smoke-chaos examples bench-planner bench-warm bench-server bench-cluster bench-build bench-mmap bench-replication bench-e2e-quick benchmarks
+.PHONY: lint test doctest check smoke-service smoke-server smoke-cluster smoke-parallel-build smoke-mmap smoke-chaos examples bench-planner bench-warm bench-server bench-cluster bench-build bench-replication bench-e2e-quick benchmarks
 
 lint:           ## AST invariant checks (determinism, locks, exceptions, wire, ranking)
 	PYTHONPATH=src $(PY) -m repro.lint
@@ -58,9 +58,6 @@ bench-cluster:  ## routed QPS: worker processes (1/2/4) vs single process
 
 bench-build:    ## index build: per-vertex vs shared pass vs worker pool
 	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_parallel_build.py --benchmark-disable
-
-bench-mmap:     ## store warm start: mmap vs JSON vs cold build (BENCH_mmap.json)
-	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_mmap_warm_start.py --benchmark-disable
 
 bench-replication:  ## follower sync: delta shipping vs full mirror (BENCH_replication.json)
 	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_replication.py --benchmark-disable

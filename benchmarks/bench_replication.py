@@ -7,7 +7,7 @@ base-resident regions from the follower's own copy of the parent
 artifact.  The alternative every naive design picks is re-mirroring
 the whole store after each update batch.
 
-This bench builds a binary-codec ``IndexStore`` over power-law graphs
+This bench builds an ``IndexStore`` over power-law graphs
 (``power_law_graph``, |E| = 5|V|), applies a chain of live-update
 batches, and measures three sync passes per size:
 
@@ -104,7 +104,7 @@ def test_bench_replication_delta_vs_full(benchmark, report):
             follower = tmp / f"follower-{n}"
             graph = power_law_graph(n, edges_per_vertex=5, seed=42)
             service = DiversityService.cold(
-                graph, store=IndexStore(primary, codec="bin"))
+                graph, store=IndexStore(primary))
 
             bootstrap, boot_s = _timed_pass(primary, follower)
             assert bootstrap.files_full >= 2, bootstrap.summary()

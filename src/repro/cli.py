@@ -24,8 +24,8 @@ usable without writing Python:
   an index-store root into a replica root (binary re-versions ship as
   checksum-verified byte-range deltas); ``repro serve --workers N
   --replicas M`` runs the same sync continuously per worker
-* ``repro convert-index STORE --to bin`` — migrate a store's tsd/gct
-  artifacts between the json and bin codecs in place
+* ``repro convert-index STORE``        — migrate a store's legacy JSON
+  tsd/gct artifacts to the binary format in place
 * ``repro store-inspect PATH``         — a ``.bin`` artifact's header and
   layout stats, or a store root's catalogue
 * ``repro sparsify GRAPH OUT -k 4``    — write the reduced graph
@@ -77,17 +77,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
 def _jobs_value(args: argparse.Namespace):
     """CLI ``--jobs`` to library ``jobs``: ``-1`` means ``None``."""
     return None if args.jobs < 0 else args.jobs
-
-
-def _add_codec_flag(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--codec`` flag of the store-writing subcommands."""
-    from repro.storage.codec import codec_names
-    parser.add_argument(
-        "--codec", choices=codec_names(), default="json",
-        help="artifact codec for new tsd/gct writes: 'json' keeps the "
-             "original whole-payload files, 'bin' writes the paged "
-             "binary format (mmap zero-copy warm starts) "
-             "(default: %(default)s)")
 
 
 def _load_graph(path: str) -> Graph:
@@ -202,7 +191,7 @@ def _cmd_query_index(args: argparse.Namespace) -> int:
 def _cmd_serve_build(args: argparse.Namespace) -> int:
     from repro.service import IndexStore
     graph = _load_graph(args.graph)
-    store = IndexStore(args.store, codec=args.codec)
+    store = IndexStore(args.store)
     engine = QueryEngine(graph, EngineConfig(build_jobs=_jobs_value(args)))
     artifacts = [name.strip() for name in args.artifacts.split(",")
                  if name.strip()]
@@ -278,7 +267,7 @@ def _cmd_serve_cluster(args: argparse.Namespace, pairs: List[tuple]) -> int:
     from repro.cluster import ShardedCluster
     cluster = ShardedCluster(args.workers, store_root=args.store or None,
                              build_jobs=_jobs_value(args),
-                             store_codec=args.codec, host=args.host,
+                             host=args.host,
                              followers=args.replicas,
                              quiet=args.quiet)
     cluster.start(port=args.http)
@@ -309,8 +298,7 @@ def _cmd_serve_cluster(args: argparse.Namespace, pairs: List[tuple]) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import DiversityRouter, serve
     from repro.service import IndexStore
-    store = (IndexStore(args.store, codec=args.codec)
-             if args.store else None)
+    store = IndexStore(args.store) if args.store else None
     if not args.graph:
         print("error: register at least one graph with --graph NAME=PATH",
               file=sys.stderr)
@@ -366,9 +354,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_convert_index(args: argparse.Namespace) -> int:
     from repro.service import IndexStore
     store = IndexStore(args.store)
-    converted = store.convert(args.to)
-    print(f"converted {converted} artifact file(s) in {args.store} "
-          f"to the {args.to!r} codec")
+    migrated = store.convert()
+    print(f"migrated {migrated} legacy JSON artifact file(s) in "
+          f"{args.store}")
     return 0
 
 
@@ -395,8 +383,7 @@ def _inspect_store(root: Path) -> int:
     from repro.service import IndexStore
     store = IndexStore(root)
     keys = store.keys()
-    print(f"store {root}: {len(keys)} graph lineage(s), codec "
-          f"{store.codec!r} for new writes")
+    print(f"store {root}: {len(keys)} graph lineage(s)")
     for key in keys:
         versions = store.versions(key)
         print(f"  {key[:12]}…: {len(versions)} version(s)")
@@ -405,8 +392,7 @@ def _inspect_store(root: Path) -> int:
             for name in version.artifact_names:
                 path = root / version.artifacts[name]
                 size = path.stat().st_size if path.is_file() else 0
-                parts.append(f"{name}[{version.codec_of(name)}, "
-                             f"{size:,}B]")
+                parts.append(f"{name}[{path.suffix[1:]}, {size:,}B]")
             print(f"    v{version.version}: {' '.join(parts)}")
     return 0
 
@@ -578,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifacts", default="tsd,gct,hybrid",
                    help="comma-separated artifacts to persist "
                         "(default: %(default)s)")
-    _add_codec_flag(p)
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_serve_build)
 
@@ -627,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: %(default)s)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request access logs")
-    _add_codec_flag(p)
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_serve)
 
@@ -648,11 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_replicate)
 
     p = sub.add_parser("convert-index",
-                       help="migrate a store's tsd/gct artifacts between "
-                            "the json and bin codecs in place")
+                       help="migrate a store's legacy JSON tsd/gct "
+                            "artifacts to the binary format in place")
     p.add_argument("store", help="index-store directory")
-    p.add_argument("--to", choices=("json", "bin"), required=True,
-                   help="target codec")
     p.set_defaults(func=_cmd_convert_index)
 
     p = sub.add_parser("store-inspect",

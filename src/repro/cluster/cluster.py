@@ -188,10 +188,6 @@ class ShardedCluster:
         Forwarded to every worker's router (the PR-4 ``BuildPlan``
         knob).  Workers are daemonic, where pool dispatch degrades to
         the byte-identical in-process build.
-    store_codec:
-        Artifact codec of every worker's store (``"json"`` or
-        ``"bin"``).  ``"bin"`` makes supervised respawns warm-start by
-        opening the mmap reader instead of re-parsing JSON forests.
     pins:
         Explicit ``{name: slot}`` shard overrides.
     supervise:
@@ -221,7 +217,6 @@ class ShardedCluster:
     def __init__(self, workers: int, *,
                  store_root=None,
                  build_jobs: Optional[int] = 0,
-                 store_codec: str = "json",
                  pins: Optional[Dict[str, int]] = None,
                  replicas: int = DEFAULT_REPLICAS,
                  host: str = "127.0.0.1",
@@ -243,7 +238,6 @@ class ShardedCluster:
         self.followers = followers
         self.replication_interval = replication_interval
         self.build_jobs = build_jobs
-        self.store_codec = store_codec
         self.host = host
         self.supervise = supervise
         self.restart_interval = restart_interval
@@ -385,7 +379,7 @@ class ShardedCluster:
         process = ctx.Process(
             target=run_worker,
             args=(slot, self.host, 0, str(store_root), self.build_jobs,
-                  child, self.quiet, self.store_codec),
+                  child, self.quiet),
             name=f"repro-worker-{slot}", daemon=True)
         process.start()
         child.close()

@@ -130,23 +130,18 @@ class WorkerHTTPServer(DiversityHTTPServer):
 def run_worker(slot: int, host: str, port: int,
                store_root: Optional[str],
                build_jobs: Optional[int],
-               ready, quiet: bool = True,
-               store_codec: str = "json") -> None:  # pragma: no cover
+               ready, quiet: bool = True) -> None:  # pragma: no cover
     """Worker process entry point (target of the cluster's spawn).
 
     Builds an empty router (graphs arrive via ``POST /admin/graphs``),
     binds the HTTP server, reports ``("ready", port)`` through the
     ``ready`` pipe, then serves until the parent terminates the
-    process.  ``store_codec`` selects the artifact codec of the
-    worker's store — ``"bin"`` makes respawn warm starts open the mmap
-    reader instead of re-parsing JSON forests.  Excluded from
-    in-process coverage — this function only ever runs inside spawned
-    worker processes (the cluster tests exercise it end to end over
-    the wire).
+    process.  Excluded from in-process coverage — this function only
+    ever runs inside spawned worker processes (the cluster tests
+    exercise it end to end over the wire).
     """
     try:
-        store = (IndexStore(store_root, codec=store_codec)
-                 if store_root else None)
+        store = IndexStore(store_root) if store_root else None
         router = DiversityRouter(store=store, build_jobs=build_jobs)
         server = WorkerHTTPServer((host, port), router, slot, quiet=quiet)
     except BaseException as exc:

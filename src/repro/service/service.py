@@ -199,8 +199,8 @@ class DiversityService:
                 # graph_view: store writes only read the graph
                 # (fingerprint + payload), and Snapshot.graph would
                 # charge a full defensive copy per update batch.
-                # changed_vertices lets a binary-codec store patch only
-                # the affected records instead of rewriting artifacts.
+                # changed_vertices lets the store patch only the
+                # affected records instead of rewriting artifacts.
                 version = self._store.put(
                     next_snapshot.graph_view,
                     tsd=next_snapshot.tsd, gct=next_snapshot.gct,

@@ -12,8 +12,8 @@ Layout on disk::
     <root>/
       manifest.json                    # the store catalogue
       .lock                            # cross-process writer lock
-      objects/<graph-key>/v<N>/tsd.json      # or tsd.bin (codec="bin")
-      objects/<graph-key>/v<N>/gct.json      # or gct.bin
+      objects/<graph-key>/v<N>/tsd.bin       # paged binary (RBIX)
+      objects/<graph-key>/v<N>/gct.bin
       objects/<graph-key>/v<N>/hybrid.json
       objects/<graph-key>/v<N>/scores.json   # persisted score cache
 
@@ -35,14 +35,13 @@ Design notes
   :func:`repro.service.snapshot.scores_to_payload`) and hands them back
   to the matching ``from_payload`` — it never interprets artifact
   internals.
-* **Pluggable codecs.**  *How* a payload becomes bytes is a
-  :mod:`repro.storage.codec` choice: ``codec="json"`` (default) keeps
-  the original whole-payload JSON files; ``codec="bin"`` writes the
-  ``tsd``/``gct`` artifacts in the paged binary format, which
+* **One format per artifact kind.**  ``tsd``/``gct`` are always
+  written in the paged binary format of :mod:`repro.storage`, which
   :meth:`load` opens lazily through an mmap so a warm start pays O(1)
-  decode instead of deserialising every forest.  The manifest records
-  the codec per artifact, so mixed stores read fine whatever codec an
-  :class:`IndexStore` instance was opened with.
+  decode instead of deserialising every forest; ``hybrid``/``scores``
+  are small graph-attached JSON payloads.  On read the file suffix
+  picks the decoder, so a ``.json`` ``tsd``/``gct`` written by an
+  older release still loads (eagerly) and :meth:`convert` migrates it.
 * **Durability.**  Artifact and manifest writes go through tmp +
   ``os.replace``; ``put`` / ``put_scores`` / ``compact`` hold an
   on-disk lock and re-read the manifest first, so concurrent writers
@@ -73,15 +72,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.errors import StoreError
+from repro.errors import IndexFormatError, StoreError
 from repro.graph.graph import Graph
 from repro.core.tsd import TSDIndex
 from repro.core.gct import GCTIndex
 from repro.core.hybrid import HybridSearcher
 from repro.service.lock import StoreLock
 from repro.service.snapshot import ScoreEntry, scores_from_payload
-from repro.storage.codec import BINARY_NAMES, codec_for_artifact, get_codec
-from repro.storage.writer import compact_artifact
+from repro.storage.lazy import open_gct_artifact, open_tsd_artifact
+from repro.storage.reader import read_payload
+from repro.storage.writer import compact_artifact, write_artifact, write_delta
 from repro.util.jsonio import dumps_payload
 
 _MANIFEST_FORMAT = "repro-index-store"
@@ -92,6 +92,16 @@ _MANIFEST_VERSION = 1
 #: (:func:`repro.service.snapshot.scores_to_payload`), so hot
 #: thresholds restart warm alongside the indexes.
 ARTIFACT_NAMES = ("tsd", "gct", "hybrid", "scores")
+
+#: The per-vertex-record artifacts, written as ``<name>.bin``; the
+#: other names are written as ``<name>.json``.
+_INDEX_CLASSES = {"tsd": TSDIndex, "gct": GCTIndex}
+_LAZY_OPENERS = {"tsd": open_tsd_artifact, "gct": open_gct_artifact}
+
+#: What decoding a damaged or foreign artifact file can raise; the
+#: binary reader's own failures are already typed (ArtifactFormatError).
+_DECODE_ERRORS = (OSError, ValueError, KeyError, IndexError, TypeError,
+                  AttributeError, IndexFormatError)
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -121,17 +131,11 @@ class StoreVersion:
     key: str
     version: int
     artifacts: Dict[str, str] = field(default_factory=dict)  # name -> relpath
-    #: name -> codec for artifacts not stored as JSON (absent = json).
-    codecs: Dict[str, str] = field(default_factory=dict)
 
     @property
     def artifact_names(self) -> List[str]:
         """Artifacts present in this version, in canonical order."""
         return [name for name in ARTIFACT_NAMES if name in self.artifacts]
-
-    def codec_of(self, name: str) -> str:
-        """The codec one artifact was written with (``json`` default)."""
-        return self.codecs.get(name, "json")
 
 
 @dataclass(frozen=True)
@@ -190,19 +194,12 @@ class IndexStore:
     root:
         Directory holding the store; created (with parents) if missing.
         An existing directory must contain a valid manifest or be empty.
-    codec:
-        Artifact codec for *new* ``tsd``/``gct`` writes: ``"json"``
-        (default, the original whole-payload files) or ``"bin"`` (the
-        paged binary format of :mod:`repro.storage`, opened lazily
-        through an mmap on :meth:`load`).  Reading is always
-        codec-agnostic — the manifest records each artifact's codec.
     """
 
-    def __init__(self, root, codec: str = "json") -> None:
+    def __init__(self, root) -> None:
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
         self._manifest_path = self._root / "manifest.json"
-        self._codec_name = get_codec(codec).name  # validates the name
         # In-process writer mutex, held alongside the cross-process
         # StoreLock: even one process can host concurrent writers (the
         # router's per-graph update threads share this store), and the
@@ -233,11 +230,6 @@ class IndexStore:
     def root(self) -> Path:
         """The store's root directory."""
         return self._root
-
-    @property
-    def codec(self) -> str:
-        """The codec new ``tsd``/``gct`` artifacts are written with."""
-        return self._codec_name
 
     def _read_manifest(self) -> Dict:
         try:
@@ -341,16 +333,10 @@ class IndexStore:
         return {name: record[name] for name in ARTIFACT_NAMES
                 if name in record}
 
-    @staticmethod
-    def _record_codecs(record: Dict) -> Dict[str, str]:
-        """Per-artifact codecs of one version record (json omitted)."""
-        return dict(record.get("codecs", {}))
-
     def _version_from_record(self, key: str, number: int,
                              record: Dict) -> StoreVersion:
         return StoreVersion(key=key, version=number,
-                            artifacts=self._record_artifacts(record),
-                            codecs=self._record_codecs(record))
+                            artifacts=self._record_artifacts(record))
 
     def versions(self, key: str) -> List[StoreVersion]:
         """All versions of one graph's lineage, oldest first."""
@@ -407,14 +393,14 @@ class IndexStore:
         version holds exactly the artifacts supplied here.
 
         ``changed_vertices`` (an update batch's affected-vertex set)
-        enables delta re-versions under the binary codec: the previous
+        enables delta re-versions of ``tsd``/``gct``: the previous
         version's artifact bytes are carried over with only the changed
         records appended and their dictionary offsets patched — no
         unchanged record is re-encoded, or even put in payload form
-        (see :func:`repro.storage.writer.write_delta`).  Under the JSON
-        codec, without a usable base artifact, or when the delta is
-        refused (changed vertex set), the full payload is built and
-        written instead.
+        (see :func:`repro.storage.writer.write_delta`).  Without a
+        ``.bin`` base artifact (none, or a legacy ``.json`` one), or
+        when the delta is refused (changed vertex set), the full
+        payload is built and written instead.
 
         Artifact files are written via tmp + :func:`os.replace` and the
         whole operation holds the store's on-disk lock (with a manifest
@@ -432,73 +418,61 @@ class IndexStore:
                 number = previous.version + 1
             version_dir = self._root / "objects" / key / f"v{number}"
             carried = entry["versions"].get(str(entry["current"]), {})
-            carried_codecs = self._record_codecs(carried)
 
             artifacts: Dict[str, str] = {}
-            codecs: Dict[str, str] = {}
             supplied = {"tsd": tsd, "gct": gct, "hybrid": hybrid,
                         "scores": scores}
             for name in ARTIFACT_NAMES:
                 obj = supplied[name]
-                if obj is not None:
-                    codec_name = codec_for_artifact(name, self._codec_name)
-                    codec = get_codec(codec_name)
-                    version_dir.mkdir(parents=True, exist_ok=True)
-                    path = version_dir / f"{name}.{codec.extension}"
-                    written = False
-                    if changed_vertices is not None:
-                        base = self._delta_base(name, previous, carried,
-                                                carried_codecs, codec_name)
-                        if base is not None:
-                            # The codec takes the index, not a payload:
-                            # a delta encodes the changed records only.
-                            written = codec.write_incremental(
-                                self._root / base, path, obj,
-                                changed_vertices, fingerprint=key)
-                    if not written:
-                        codec.write(
-                            path,
-                            obj if name == "scores" else obj.to_payload(),
-                            fingerprint=key)
-                    artifacts[name] = str(path.relative_to(self._root))
-                    if codec_name != "json":
-                        codecs[name] = codec_name
-                elif name in carried:
-                    artifacts[name] = carried[name]  # carried forward
-                    if name in carried_codecs:
-                        codecs[name] = carried_codecs[name]
+                if obj is None:
+                    if name in carried:
+                        artifacts[name] = carried[name]  # carried forward
+                    continue
+                version_dir.mkdir(parents=True, exist_ok=True)
+                if name in _INDEX_CLASSES:
+                    path = version_dir / f"{name}.bin"
+                    base = (self._delta_base(name, previous, carried)
+                            if changed_vertices is not None else None)
+                    # A delta encodes the changed records only.
+                    if base is None or not write_delta(
+                            self._root / base, path,
+                            obj.to_payload(only=changed_vertices),
+                            changed_vertices, fingerprint=key):
+                        write_artifact(path, obj.to_payload(),
+                                       fingerprint=key)
+                else:
+                    path = version_dir / f"{name}.json"
+                    self._write_json_atomic(
+                        path, obj if name == "scores" else obj.to_payload())
+                artifacts[name] = str(path.relative_to(self._root))
             if not any(name in artifacts for name in
                        ("tsd", "gct", "hybrid")):
                 raise StoreError("refusing to store an index-less version: "
                                  "supply at least one of tsd=, gct=, hybrid=")
 
             record = dict(artifacts)
-            if codecs:
-                record["codecs"] = dict(codecs)
             if previous is not None and previous.key != key:
                 record["parent"] = {"key": previous.key,
                                     "version": previous.version}
             entry["versions"][str(number)] = record
             entry["current"] = number
             self._write_manifest()
-        return StoreVersion(key=key, version=number, artifacts=artifacts,
-                            codecs=codecs)
+        return StoreVersion(key=key, version=number, artifacts=artifacts)
 
-    def _delta_base(self, name: str, previous: Optional[StoreVersion],
-                    carried: Dict, carried_codecs: Dict[str, str],
-                    codec_name: str) -> Optional[str]:
+    @staticmethod
+    def _delta_base(name: str, previous: Optional[StoreVersion],
+                    carried: Dict) -> Optional[str]:
         """The relpath a delta write may build on, or ``None``.
 
-        A usable base is the same-name artifact of the linked previous
-        version (the cross-lineage update path) or of the same lineage's
-        current version, written with the *same* codec.
+        A usable base is the same-name ``.bin`` artifact of the linked
+        previous version (the cross-lineage update path) or of the same
+        lineage's current version.  A legacy ``.json`` base has no
+        record dictionary to patch.
         """
-        if previous is not None and name in previous.artifacts \
-                and previous.codec_of(name) == codec_name:
-            return previous.artifacts[name]
-        if name in carried \
-                and carried_codecs.get(name, "json") == codec_name:
-            return carried[name]
+        for relpath in ((previous.artifacts.get(name) if previous else None),
+                        carried.get(name)):
+            if relpath is not None and relpath.endswith(".bin"):
+                return relpath
         return None
 
     def put_scores(self, graph: Graph, scores: Dict,
@@ -529,14 +503,37 @@ class IndexStore:
             artifacts = dict(version.artifacts)
             artifacts["scores"] = relpath
         return StoreVersion(key=version.key, version=version.version,
-                            artifacts=artifacts, codecs=version.codecs)
+                            artifacts=artifacts)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _artifact_payload(self, version: StoreVersion, name: str) -> Dict:
-        path = self._root / version.artifacts[name]
-        return get_codec(version.codec_of(name)).load_payload(path)
+    @staticmethod
+    def _read(name: str, path: Path, graph: Optional[Graph] = None,
+              lazy: bool = False):
+        """Decode one artifact file; its suffix picks the decoder.
+
+        ``.bin`` is the paged binary format (opened through the mmap
+        reader when ``lazy``), anything else a whole-payload JSON file.
+        Every decode failure raises :class:`StoreError` naming the file.
+        """
+        try:
+            if path.suffix == ".bin":
+                if lazy and name in _LAZY_OPENERS:
+                    return _LAZY_OPENERS[name](path)
+                payload = read_payload(path)
+            else:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+            if name == "hybrid":
+                return HybridSearcher.from_payload(graph, payload,
+                                                   source=str(path))
+            if name == "scores":
+                return scores_from_payload(payload)
+            return _INDEX_CLASSES[name].from_payload(payload,
+                                                     source=str(path))
+        except _DECODE_ERRORS as exc:
+            raise StoreError(
+                f"{path}: unreadable {name} artifact ({exc})") from exc
 
     def load(self, graph: Graph,
              names: Optional[List[str]] = None,
@@ -549,106 +546,69 @@ class IndexStore:
         The hybrid artifact is re-attached to ``graph`` — its payload
         carries rankings, not the graph.
 
-        ``lazy`` (default) opens binary-codec ``tsd``/``gct`` artifacts
+        ``lazy`` (default) opens ``.bin`` ``tsd``/``gct`` artifacts
         through the mmap reader — the index is constructed from the
         file's label list and a lazy forest provider, so a warm start
         decodes no per-vertex record until a query touches it.  Pass
-        ``lazy=False`` to force full materialisation (the conversion
-        and inspection paths want the whole payload in memory).
-        JSON-codec artifacts always materialise.
+        ``lazy=False`` to force full materialisation.  A legacy
+        ``.json`` ``tsd``/``gct`` always materialises.  A damaged
+        artifact raises :class:`StoreError` naming the file.
         """
         version = self.current(graph, key=key)
         wanted = version.artifact_names if names is None else list(names)
-        tsd = gct = hybrid = scores = None
-        for name in wanted:
-            if name not in version.artifacts:
-                continue
-            path = self._root / version.artifacts[name]
-            source = str(path)
-            codec = get_codec(version.codec_of(name))
-            if lazy and name in ("tsd", "gct"):
-                index = codec.open_index(name, path)
-                if index is not None:
-                    if name == "tsd":
-                        tsd = index
-                    else:
-                        gct = index
-                    continue
-            payload = codec.load_payload(path)
-            if name == "tsd":
-                tsd = TSDIndex.from_payload(payload, source=source)
-            elif name == "gct":
-                gct = GCTIndex.from_payload(payload, source=source)
-            elif name == "hybrid":
-                hybrid = HybridSearcher.from_payload(graph, payload,
-                                                     source=source)
-            elif name == "scores":
-                scores = scores_from_payload(payload)
-        return StoredIndexes(version=version, tsd=tsd, gct=gct,
-                             hybrid=hybrid, scores=scores)
+        loaded = {name: self._read(name, self._root / version.artifacts[name],
+                                   graph, lazy)
+                  for name in wanted if name in version.artifacts}
+        return StoredIndexes(version=version, **loaded)
 
     # ------------------------------------------------------------------
-    # Codec migration
+    # Legacy migration
     # ------------------------------------------------------------------
-    def convert(self, to: str) -> int:
-        """Migrate every ``tsd``/``gct`` artifact to codec ``to`` in place.
+    def convert(self) -> int:
+        """Migrate legacy JSON ``tsd``/``gct`` artifacts to ``.bin`` in place.
 
-        Each physical file converts exactly once — carry-forward means
+        Each physical file migrates exactly once — carry-forward means
         several version records can reference one relpath, and all of
-        them are rewired to the converted file.  New files are written
+        them are rewired to the new file.  New files are written
         (tmp + :func:`os.replace`) before the manifest flips and the old
-        files are unlinked, so a crash mid-conversion leaves a readable
+        files are unlinked, so a crash mid-migration leaves a readable
         store: either the manifest still points at the old files, or it
         points at complete new ones.  Returns the number of files
-        converted.
+        migrated (``0`` once the store holds no legacy artifact).
         """
-        target = get_codec(to)
-        converted = 0
         with self._locked():
             graphs = self._manifest["graphs"]
-            # Pass 1: convert each unique referenced file once.
+            # Pass 1: migrate each unique referenced file once.
             new_relpath: Dict[str, str] = {}  # old relpath -> new relpath
             for key, entry in graphs.items():
                 for record in entry["versions"].values():
-                    codecs = record.get("codecs", {})
-                    for name in BINARY_NAMES:
+                    for name in _INDEX_CLASSES:
                         relpath = record.get(name)
-                        if relpath is None or relpath in new_relpath:
-                            continue
-                        current_codec = codecs.get(name, "json")
-                        if current_codec == target.name:
+                        if relpath is None or relpath.endswith(".bin") \
+                                or relpath in new_relpath:
                             continue
                         path = self._root / relpath
-                        payload = get_codec(current_codec).load_payload(path)
-                        new_path = path.with_suffix("." + target.extension)
-                        target.write(new_path, payload, fingerprint=key)
+                        new_path = path.with_suffix(".bin")
+                        write_artifact(new_path,
+                                       self._read(name, path).to_payload(),
+                                       fingerprint=key)
                         new_relpath[relpath] = str(
                             new_path.relative_to(self._root))
-                        converted += 1
-            # Pass 2: rewire every record that references a converted file.
+            if not new_relpath:
+                return 0
+            # Pass 2: rewire every record that references a migrated file.
             for entry in graphs.values():
                 for record in entry["versions"].values():
-                    codecs = dict(record.get("codecs", {}))
-                    for name in BINARY_NAMES:
-                        relpath = record.get(name)
-                        if relpath not in new_relpath:
-                            continue
-                        record[name] = new_relpath[relpath]
-                        if target.name == "json":
-                            codecs.pop(name, None)
-                        else:
-                            codecs[name] = target.name
-                    if codecs:
-                        record["codecs"] = codecs
-                    else:
-                        record.pop("codecs", None)
+                    for name in _INDEX_CLASSES:
+                        if record.get(name) in new_relpath:
+                            record[name] = new_relpath[record[name]]
             self._write_manifest()
             for relpath in new_relpath:
                 try:
                     (self._root / relpath).unlink()
                 except OSError:  # pragma: no cover - already gone
                     pass
-        return converted
+        return len(new_relpath)
 
     # ------------------------------------------------------------------
     # Compaction

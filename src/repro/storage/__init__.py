@@ -1,8 +1,9 @@
-"""Paged binary artifact storage: format, writer, mmap reader, codecs.
+"""Paged binary artifact storage: format, writer, mmap reader.
 
-The subsystem behind the :class:`~repro.service.store.IndexStore`'s
-``codec="bin"`` mode — see :mod:`repro.storage.format` for the on-disk
-layout and the README's "On-disk format" section for the operator view.
+The format every :class:`~repro.service.store.IndexStore` writes its
+``tsd``/``gct`` artifacts in — see :mod:`repro.storage.format` for the
+on-disk layout and the README's "On-disk format" section for the
+operator view.
 """
 
 from repro.storage.format import (
@@ -26,12 +27,6 @@ from repro.storage.lazy import (
     open_gct_artifact,
     open_tsd_artifact,
 )
-from repro.storage.codec import (
-    BINARY_NAMES,
-    codec_for_artifact,
-    codec_names,
-    get_codec,
-)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -50,8 +45,4 @@ __all__ = [
     "LazySuperedgeMap",
     "open_tsd_artifact",
     "open_gct_artifact",
-    "BINARY_NAMES",
-    "codec_names",
-    "codec_for_artifact",
-    "get_codec",
 ]

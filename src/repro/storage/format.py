@@ -1,4 +1,4 @@
-"""The paged binary artifact format (``.bin``): layout and codecs.
+"""The paged binary artifact format (``.bin``): layout and record encoding.
 
 JSON artifacts force a warm start to deserialise *every* forest of
 *every* graph before the first query can run.  This format removes that

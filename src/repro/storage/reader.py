@@ -371,7 +371,7 @@ def read_payload(path) -> Dict:
     The inverse of :func:`repro.storage.writer.encode_artifact`: the
     returned dict is structurally equal to the ``to_payload()`` dict
     the artifact was written from (JSON-shaped — edges as lists), so
-    ``from_payload`` and codec conversion consume it directly.
+    ``from_payload`` consumes it directly.
     """
     with ArtifactReader(path) as reader:
         header = reader.header

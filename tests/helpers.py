@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+import shutil
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 
@@ -12,6 +14,16 @@ from repro.core.online import online_search
 from repro.core.tsd import TSDIndex
 from repro.storage import write_artifact
 from repro.storage.lazy import open_gct_artifact
+
+#: An index store from a release that wrote ``tsd``/``gct`` artifacts as
+#: whole-payload JSON: ``serve-build figure1.txt store --codec json``,
+#: then ``serve-build ... --codec json --artifacts gct``.  Version 2 holds
+#: a fresh ``gct.json`` and carries v1's ``tsd.json``/``hybrid.json``
+#: forward by reference.  Vertex ids are figure-1 insertion positions.
+LEGACY_JSON_STORE = Path(__file__).parent / "fixtures" / "legacy_json_store"
+
+#: Figure-1 vertex ``v`` in the fixture graph: score 3 at ``k = 4``.
+LEGACY_V = 8
 
 
 def to_networkx(graph: Graph) -> "nx.Graph":
@@ -134,3 +146,11 @@ def check_score_postings(graph: Graph, workdir) -> None:
         assert all(a is b for a, b in zip(index.ranking(beyond),
                                           index.ranking(beyond + 1)))
     indexes["lazy"]._supernodes.reader.close()
+
+
+def legacy_json_store(workdir) -> Tuple[Path, Path]:
+    """A private copy of :data:`LEGACY_JSON_STORE`: (graph file, store
+    root) — migrations and warm starts write into the store."""
+    root = Path(workdir) / "legacy"
+    shutil.copytree(LEGACY_JSON_STORE, root)
+    return root / "figure1.txt", root / "store"

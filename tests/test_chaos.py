@@ -156,7 +156,7 @@ class TestRollingRestartAndMove:
     in-process oracle throughout."""
 
     def test_rolling_restart_then_zero_503_move(self):
-        fleet = ShardedCluster(workers=2, pins=PINS, store_codec="bin",
+        fleet = ShardedCluster(workers=2, pins=PINS,
                                supervise=True, restart_interval=0.1,
                                followers=1, replication_interval=0.1)
         fleet.start(port=0)
@@ -249,8 +249,7 @@ class TestReplicaFailover:
     alone — and a corrupt follower is refused, never trusted."""
 
     def _fleet(self, journal_window=128):
-        return ShardedCluster(workers=1, pins={"alpha": 0},
-                              store_codec="bin", supervise=False,
+        return ShardedCluster(workers=1, pins={"alpha": 0}, supervise=False,
                               followers=1, replication_interval=900.0,
                               journal_window=journal_window)
 
@@ -338,8 +337,7 @@ class TestKillDuringUpdate:
 
     def test_acked_batches_define_the_recovered_state(self):
         rng = random.Random(SEED)
-        fleet = ShardedCluster(workers=1, pins={"alpha": 0},
-                               store_codec="bin", supervise=False)
+        fleet = ShardedCluster(workers=1, pins={"alpha": 0}, supervise=False)
         fleet.start(port=0)
         try:
             client = ServerClient(fleet.url, timeout=10.0)

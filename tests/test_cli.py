@@ -8,6 +8,7 @@ from repro.cli import main, build_parser
 from repro.graph.graph import Graph
 from repro.graph.io import write_edge_list, write_json_graph
 from repro.datasets.paper import figure1_graph
+from tests.helpers import LEGACY_V, legacy_json_store
 
 
 @pytest.fixture
@@ -144,50 +145,61 @@ class TestServeCommands:
         with pytest.raises(InvalidParameterError):
             main(["serve-warm", path, store, "--updates", "bogus"])
 
-    def test_serve_build_bin_codec_then_warm(self, figure1_file, tmp_path,
-                                             capsys):
-        path, v_id = figure1_file
-        store = str(tmp_path / "store")
-        assert main(["serve-build", path, store, "--codec", "bin"]) == 0
-        capsys.readouterr()
-        assert main(["serve-warm", path, store, "--queries", "4:1"]) == 0
-        out = capsys.readouterr().out
-        assert f"{v_id}:3" in out
-        assert "warm (from store)" in out
+    def test_serve_build_writes_binary_artifacts(self, figure1_file,
+                                                 tmp_path):
+        path, _ = figure1_file
+        store = tmp_path / "store"
+        assert main(["serve-build", path, str(store)]) == 0
+        assert sorted(p.name for p in store.rglob("v1/*")) == \
+            ["gct.bin", "hybrid.json", "tsd.bin"]
+
+    @pytest.mark.parametrize("command", ["serve-build", "serve"])
+    def test_no_format_option(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--codec" not in capsys.readouterr().out
 
 
-class TestStoreCodecCommands:
+class TestStoreCommands:
     @pytest.fixture
-    def built_store(self, figure1_file, tmp_path, capsys):
-        path, v_id = figure1_file
-        store = str(tmp_path / "store")
-        assert main(["serve-build", path, store]) == 0
-        capsys.readouterr()
-        return path, store, v_id
+    def legacy(self, tmp_path):
+        graph_file, store = legacy_json_store(tmp_path)
+        return str(graph_file), str(store)
 
-    def test_convert_index_round_trip(self, built_store, capsys):
-        path, store, v_id = built_store
-        assert main(["convert-index", store, "--to", "bin"]) == 0
-        assert "converted 2 artifact file(s)" in capsys.readouterr().out
+    def test_convert_index_migrates_legacy_json(self, legacy, capsys):
+        path, store = legacy
+        assert main(["convert-index", store]) == 0
+        out = capsys.readouterr().out
+        assert "migrated 3 legacy JSON artifact file(s)" in out
         assert main(["serve-warm", path, store, "--queries", "4:1"]) == 0
         out = capsys.readouterr().out
-        assert f"{v_id}:3" in out and "warm (from store)" in out
-        assert main(["convert-index", store, "--to", "json"]) == 0
-        capsys.readouterr()
-        assert main(["serve-warm", path, store, "--queries", "4:1"]) == 0
-        assert f"{v_id}:3" in capsys.readouterr().out
+        assert f"{LEGACY_V}:3" in out and "warm (from store)" in out
+        assert main(["convert-index", store]) == 0
+        assert "migrated 0 legacy" in capsys.readouterr().out
 
-    def test_store_inspect_root(self, built_store, capsys):
-        _, store, _ = built_store
+    def test_convert_index_takes_no_target(self, legacy):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["convert-index", legacy[1],
+                                       "--to", "bin"])
+
+    def test_store_inspect_root(self, legacy, capsys):
+        _, store = legacy
         assert main(["store-inspect", store]) == 0
         out = capsys.readouterr().out
-        assert "graph lineage(s)" in out
-        assert "tsd[json" in out
+        assert "1 graph lineage(s)\n" in out
+        assert "v2: tsd[json, " in out and "hybrid[json, " in out
+        assert main(["convert-index", store]) == 0
+        capsys.readouterr()
+        assert main(["store-inspect", store]) == 0
+        out = capsys.readouterr().out
+        assert "v2: tsd[bin, " in out and "gct[bin, " in out
 
-    def test_store_inspect_bin_artifact(self, built_store, capsys):
+    def test_store_inspect_bin_artifact(self, figure1_file, tmp_path,
+                                        capsys):
         from pathlib import Path
-        _, store, _ = built_store
-        assert main(["convert-index", store, "--to", "bin"]) == 0
+        path, _ = figure1_file
+        store = str(tmp_path / "store")
+        assert main(["serve-build", path, store]) == 0
         capsys.readouterr()
         artifact = next(Path(store).rglob("tsd.bin"))
         assert main(["store-inspect", str(artifact), "--verify"]) == 0
@@ -284,8 +296,7 @@ class TestReplicate:
         from repro.service.service import DiversityService
         from repro.service.store import IndexStore
         g = Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
-        DiversityService.cold(g, store=IndexStore(tmp_path / "primary",
-                                                  codec="bin"))
+        DiversityService.cold(g, store=IndexStore(tmp_path / "primary"))
         return str(tmp_path / "primary"), str(tmp_path / "replica")
 
     def test_replicate_then_idempotent_pass(self, tmp_path, capsys):

@@ -72,8 +72,7 @@ class TestBoundedJournal:
     ROUNDS = 27  # 3 full windows + a retained tail of 3
 
     def test_respawn_replays_at_most_one_window(self):
-        fleet = ShardedCluster(workers=1, pins={"alpha": 0},
-                               store_codec="bin", supervise=False,
+        fleet = ShardedCluster(workers=1, pins={"alpha": 0}, supervise=False,
                                journal_window=self.WINDOW)
         fleet.start(port=0)
         try:
@@ -122,8 +121,7 @@ class TestBoundedJournal:
             fleet.stop()
 
     def test_move_after_checkpoint_stays_oracle_identical(self):
-        fleet = ShardedCluster(workers=2, pins={"alpha": 0},
-                               store_codec="bin", supervise=False,
+        fleet = ShardedCluster(workers=2, pins={"alpha": 0}, supervise=False,
                                journal_window=2)
         fleet.start(port=0)
         try:
@@ -155,8 +153,7 @@ class TestTruncationResync:
     and must take the ``complete=False`` full-resync path."""
 
     def test_sleeping_consumer_forced_to_full_resync(self):
-        fleet = ShardedCluster(workers=1, pins={"alpha": 0},
-                               store_codec="bin", supervise=False,
+        fleet = ShardedCluster(workers=1, pins={"alpha": 0}, supervise=False,
                                followers=1, replication_interval=900.0,
                                journal_window=4)
         fleet.start(port=0)
@@ -201,8 +198,7 @@ class TestTruncationResync:
             fleet.stop()
 
     def test_long_poll_laggard_woken_by_truncation(self):
-        fleet = ShardedCluster(workers=1, pins={"alpha": 0},
-                               store_codec="bin", supervise=False,
+        fleet = ShardedCluster(workers=1, pins={"alpha": 0}, supervise=False,
                                followers=1, replication_interval=900.0,
                                journal_window=2)
         fleet.start(port=0)
@@ -293,8 +289,7 @@ class TestNewestReplicaRestore:
     restored from the *newest* replica, not the lowest index."""
 
     def test_restore_prefers_the_freshest_follower(self):
-        fleet = ShardedCluster(workers=1, pins={"alpha": 0},
-                               store_codec="bin", supervise=False,
+        fleet = ShardedCluster(workers=1, pins={"alpha": 0}, supervise=False,
                                followers=2, replication_interval=900.0,
                                journal_window=0)
         fleet.start(port=0)

@@ -155,16 +155,15 @@ class TestDifferentialRankings:
 
     def test_mmap_warm_start_serves_the_same_rankings(self, case,
                                                       tmp_path_factory):
-        """A service warm-started from a ``codec="bin"`` store — lazy
-        mmap-backed indexes, no materialised forests — answers every
-        sweep query rank-identically to the online baseline."""
+        """A service warm-started from a store — lazy mmap-backed
+        indexes, no materialised forests — answers every sweep query
+        rank-identically to the online baseline."""
         from repro.service import DiversityService
         from repro.service.store import IndexStore
         name, graph, reference = case
         root = tmp_path_factory.mktemp(f"binstore-{name}")
-        DiversityService.start(graph, store=IndexStore(root, codec="bin"))
-        warm = DiversityService.start(graph,
-                                      store=IndexStore(root, codec="bin"))
+        DiversityService.start(graph, store=IndexStore(root))
+        warm = DiversityService.start(graph, store=IndexStore(root))
         assert warm.warm_started, name
         for k, r in _sweep(graph):
             result = warm.top_r(k, r, collect_contexts=False)

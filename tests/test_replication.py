@@ -172,13 +172,12 @@ time.sleep(60)
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def replicated(tmp_path):
-    """A binary-codec source store with a live-update delta chain, one
+    """A source store with a live-update delta chain, one
     sync'd follower, and the serving service."""
     source = tmp_path / "primary"
     follower = tmp_path / "replica"
     graph = _clique_with_tail()
-    service = DiversityService.cold(graph, store=IndexStore(source,
-                                                            codec="bin"))
+    service = DiversityService.cold(graph, store=IndexStore(source))
     service.apply_updates([("insert", "tail1", "tail2")])
     service.apply_updates([("insert", "tail2", "c1")])
     report = replicate_store(source, follower)
@@ -224,8 +223,7 @@ class TestReplicateStore:
     def test_follower_warm_starts_the_lineage(self, replicated):
         _, follower, _, _ = replicated
         base = _clique_with_tail()
-        warm = DiversityService.warm(base, IndexStore(follower,
-                                                      codec="bin"))
+        warm = DiversityService.warm(base, IndexStore(follower))
         assert warm.warm_started
         result = warm.top_r(3, 5)
         assert [(e.vertex, e.score) for e in result.entries] == \
@@ -254,9 +252,9 @@ class TestReplicateStore:
         a_root, b_root, c_root = (tmp_path / name
                                   for name in ("a", "b", "c"))
         DiversityService.cold(_clique_with_tail(),
-                              store=IndexStore(a_root, codec="bin"))
+                              store=IndexStore(a_root))
         other = Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
-        DiversityService.cold(other, store=IndexStore(b_root, codec="bin"))
+        DiversityService.cold(other, store=IndexStore(b_root))
         replicate_store(a_root, c_root)
         replicate_store(b_root, c_root, merge=True)
         merged = set(read_store_manifest(c_root)["graphs"])

@@ -169,13 +169,24 @@ class TestIndexStore:
     def test_artifact_writes_leave_no_tmp_files(self, figure1, tmp_path):
         """Artifacts go through tmp + os.replace (a crash mid-write must
         never leave a torn artifact); nothing temporary survives."""
+        from repro.storage import ArtifactReader
         store = IndexStore(tmp_path / "store")
         tsd = TSDIndex.build(figure1)
-        store.put(figure1, tsd=tsd, gct=GCTIndex.compress(tsd))
+        store.put(figure1, tsd=tsd, gct=GCTIndex.compress(tsd),
+                  hybrid=HybridSearcher.precompute(figure1, index=tsd))
         leftovers = [p for p in (tmp_path / "store").rglob("*.tmp")]
         assert leftovers == []
-        for artifact in (tmp_path / "store" / "objects").rglob("*.json"):
-            json.loads(artifact.read_text(encoding="utf-8"))  # not torn
+        checked = []
+        for artifact in sorted((tmp_path / "store" / "objects").rglob("*")):
+            if artifact.suffix == ".bin":
+                with ArtifactReader(artifact) as reader:
+                    reader.verify_checksum()  # not torn
+            elif artifact.suffix == ".json":
+                json.loads(artifact.read_text(encoding="utf-8"))
+            else:
+                continue
+            checked.append(artifact.name)
+        assert sorted(checked) == ["gct.bin", "hybrid.json", "tsd.bin"]
 
     def test_two_writers_sharing_a_root_lose_nothing(self, figure1,
                                                      tmp_path):
@@ -286,7 +297,7 @@ class TestSnapshot:
         mutated afterwards) and every answer is the oracle's."""
         graph = _random_graph(60, 0.2, seed=11)
         if lazy:
-            store = IndexStore(tmp_path / "store", codec="bin")
+            store = IndexStore(tmp_path / "store")
             DiversityService.start(graph, store)
             snap = DiversityService.warm(graph, store).snapshot
             assert snap.gct._tau_sorted is None  # mmap-backed

@@ -4,7 +4,7 @@ Four contracts under test:
 
 * **Round trip.**  For every index in a seeded graph family, payload →
   binary artifact → payload is the identity, and equals the JSON
-  round trip bit-for-bit — the binary codec may never change what an
+  round trip bit-for-bit — the binary format may never change what an
   index *says*, only how its bytes are laid out.
 * **Typed failures.**  A truncated, corrupt, or version-skewed artifact
   raises :class:`~repro.errors.ArtifactFormatError` (a
@@ -14,8 +14,8 @@ Four contracts under test:
   hammer eviction and re-query concurrently.
 * **Delta + compaction.**  ``write_delta`` supersedes only the changed
   records (dead bytes accounted), ``compact_artifact`` reclaims them,
-  and the store's ``convert`` migrates lineages codec-to-codec in
-  place — all answer-preserving.
+  and the store's ``convert`` migrates legacy JSON lineages to ``.bin``
+  in place — all answer-preserving.
 * **Restricted delta payloads.**  The store hands ``write_delta`` only
   the changed vertices' records; the bytes equal a delta over the full
   payload, and every refused delta still ends in a complete artifact.
@@ -23,6 +23,7 @@ Four contracts under test:
 
 import json
 import random
+import re
 import threading
 
 import pytest
@@ -32,6 +33,7 @@ from repro.core.tsd import TSDIndex
 from repro.datasets.synthetic import add_planted_cliques, erdos_renyi
 from repro.errors import ArtifactFormatError, StoreError
 from repro.graph.graph import Graph
+from repro.service.snapshot import SCORES_FORMAT
 from repro.storage import (
     HEADER_SIZE,
     ArtifactReader,
@@ -43,6 +45,7 @@ from repro.storage import (
 )
 from repro.storage.lazy import open_gct_artifact, open_tsd_artifact
 from repro.util.jsonio import dumps_payload
+from tests.helpers import LEGACY_V, legacy_json_store
 
 
 def _family():
@@ -81,7 +84,7 @@ class TestRoundTrip:
         assert read_payload(tmp_path / "gct.bin") == payload
 
     def test_binary_equals_json_round_trip(self, graph, tmp_path):
-        """The two codecs hand ``from_payload`` identical dicts."""
+        """JSON and binary files hand ``from_payload`` identical dicts."""
         import json
         for build, name in ((TSDIndex.build, "tsd"), (GCTIndex.build,
                                                       "gct")):
@@ -416,91 +419,43 @@ class TestDeltaAndCompact:
 
 
 # ----------------------------------------------------------------------
-# Store integration: codec plumbing, convert, manifest cache
+# Store integration: one format per kind, legacy JSON, manifest cache
 # ----------------------------------------------------------------------
-class TestStoreCodec:
+class TestStoreArtifacts:
     @pytest.fixture
     def graph(self):
         return add_planted_cliques(erdos_renyi(18, 0.15, seed=21), [5],
                                    seed=22)
 
-    def test_unknown_codec_is_typed(self, tmp_path):
-        from repro.service.store import IndexStore
-        with pytest.raises(StoreError):
-            IndexStore(tmp_path, codec="msgpack")
-
-    def test_bin_store_round_trip_matches_json(self, graph, tmp_path):
+    def test_tsd_and_gct_are_written_as_bin(self, graph, tmp_path):
         from repro.service.store import IndexStore
         from repro.storage.lazy import LazyForestMap
         tsd, gct = TSDIndex.build(graph), GCTIndex.build(graph)
-        jstore = IndexStore(tmp_path / "json")
-        bstore = IndexStore(tmp_path / "bin", codec="bin")
-        jstore.put(graph, tsd=tsd, gct=gct)
-        version = bstore.put(graph, tsd=tsd, gct=gct)
-        assert version.codec_of("tsd") == "bin"
-        assert version.codec_of("gct") == "bin"
-        jloaded = jstore.load(graph)
-        bloaded = bstore.load(graph)
-        assert isinstance(bloaded.tsd._forests, LazyForestMap)
+        store = IndexStore(tmp_path)
+        version = store.put(graph, tsd=tsd, gct=gct)
+        for name, index in (("tsd", tsd), ("gct", gct)):
+            assert version.artifacts[name].endswith(f"{name}.bin")
+            assert (store.root / version.artifacts[name]).read_bytes() == \
+                encode_artifact(index.to_payload(), fingerprint=version.key)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        record = manifest["graphs"][version.key]["versions"]["1"]
+        assert set(record) == {"tsd", "gct"}  # no per-artifact format key
+        loaded = store.load(graph)
+        assert isinstance(loaded.tsd._forests, LazyForestMap)
         n = graph.num_vertices
         for k in (2, 3, 4):
             for r in (1, 5, n + 3):
-                expected = jloaded.tsd.top_r(k, r)
-                got = bloaded.tsd.top_r(k, r)
-                assert (got.vertices, got.scores) \
-                    == (expected.vertices, expected.scores), (k, r)
-                expected = jloaded.gct.top_r(k, r)
-                got = bloaded.gct.top_r(k, r)
-                assert (got.vertices, got.scores) \
-                    == (expected.vertices, expected.scores), (k, r)
+                for built, lazy in ((tsd, loaded.tsd), (gct, loaded.gct)):
+                    expected, got = built.top_r(k, r), lazy.top_r(k, r)
+                    assert (got.vertices, got.scores) \
+                        == (expected.vertices, expected.scores), (k, r)
 
     def test_lazy_false_materialises(self, graph, tmp_path):
         from repro.service.store import IndexStore
-        store = IndexStore(tmp_path, codec="bin")
+        store = IndexStore(tmp_path)
         store.put(graph, tsd=TSDIndex.build(graph))
         loaded = store.load(graph, lazy=False)
         assert isinstance(loaded.tsd._forests, dict)
-
-    def test_convert_json_to_bin_and_back(self, graph, tmp_path):
-        from repro.service.store import IndexStore
-        store = IndexStore(tmp_path)
-        tsd, gct = TSDIndex.build(graph), GCTIndex.build(graph)
-        store.put(graph, tsd=tsd, gct=gct)
-        baseline = store.load(graph).tsd.top_r(3, 8)
-
-        assert IndexStore(tmp_path).convert("bin") == 2
-        store2 = IndexStore(tmp_path)
-        version = store2.current(graph)
-        assert version.codec_of("tsd") == "bin"
-        assert (store2.root / version.artifacts["tsd"]).suffix == ".bin"
-        got = store2.load(graph).tsd.top_r(3, 8)
-        assert (got.vertices, got.scores) \
-            == (baseline.vertices, baseline.scores)
-
-        assert IndexStore(tmp_path).convert("json") == 2
-        store3 = IndexStore(tmp_path)
-        version = store3.current(graph)
-        assert version.codec_of("tsd") == "json"
-        got = store3.load(graph).tsd.top_r(3, 8)
-        assert (got.vertices, got.scores) \
-            == (baseline.vertices, baseline.scores)
-        assert IndexStore(tmp_path).convert("json") == 0  # no-op
-
-    def test_convert_rewires_carried_forward_references(self, graph,
-                                                        tmp_path):
-        """Two versions sharing one carried-forward artifact file must
-        both point at the single converted file afterwards."""
-        from repro.service.store import IndexStore
-        store = IndexStore(tmp_path)
-        store.put(graph, tsd=TSDIndex.build(graph),
-                  gct=GCTIndex.build(graph))
-        store.put(graph, gct=GCTIndex.build(graph))  # tsd carried
-        assert IndexStore(tmp_path).convert("bin") == 3  # tsd once
-        store2 = IndexStore(tmp_path)
-        v1, v2 = store2.versions(store2.current(graph).key)
-        assert v1.artifacts["tsd"] == v2.artifacts["tsd"]
-        assert v2.codec_of("tsd") == "bin"
-        assert (store2.root / v2.artifacts["tsd"]).is_file()
 
     def test_update_batch_delta_writes_under_bin(self, graph, tmp_path):
         """The service's apply_updates path reaches write_delta: the
@@ -508,7 +463,7 @@ class TestStoreCodec:
         records and still round-trips every ranking."""
         from repro.service import DiversityService
         from repro.service.store import IndexStore
-        store = IndexStore(tmp_path, codec="bin")
+        store = IndexStore(tmp_path)
         service = DiversityService.start(graph, store=store)
         edge = next(iter(graph.edges()))
         service.apply_updates([("delete", edge[0], edge[1])])
@@ -526,7 +481,7 @@ class TestStoreCodec:
     def test_store_compact_rewrites_bin_pages(self, graph, tmp_path):
         from repro.service import DiversityService
         from repro.service.store import IndexStore
-        store = IndexStore(tmp_path, codec="bin")
+        store = IndexStore(tmp_path)
         service = DiversityService.start(graph, store=store)
         edge = next(iter(graph.edges()))
         service.apply_updates([("delete", edge[0], edge[1])])
@@ -593,7 +548,7 @@ class TestRestrictedDeltaWrites:
         byte what ``write_delta`` makes of the complete payload."""
         from repro.service import DiversityService
         from repro.service.store import IndexStore
-        store = IndexStore(tmp_path / "store", codec="bin")
+        store = IndexStore(tmp_path / "store")
         service = DiversityService.start(graph, store=store)
         rng = random.Random(43)
         for step in range(5):
@@ -637,7 +592,7 @@ class TestRestrictedDeltaWrites:
                                                               tmp_path):
         from repro.service import DiversityService
         from repro.service.store import IndexStore
-        store = IndexStore(tmp_path, codec="bin")
+        store = IndexStore(tmp_path)
         service = DiversityService.start(graph, store=store)
         anchor = next(iter(graph.vertices()))
         service.apply_updates([("insert", anchor, "newcomer")])
@@ -650,7 +605,7 @@ class TestRestrictedDeltaWrites:
                                                         tmp_path):
         from repro.service import DiversityService
         from repro.service.store import IndexStore
-        store = IndexStore(tmp_path, codec="bin")
+        store = IndexStore(tmp_path)
         service = DiversityService.start(graph, store=store)
         before = self._current(service)
         for name in ("tsd", "gct"):
@@ -661,18 +616,23 @@ class TestRestrictedDeltaWrites:
             assert (store.root / after.artifacts[name]).read_bytes() == \
                 encode_artifact(index.to_payload(), fingerprint=after.key)
 
-    def test_json_codec_writes_the_complete_payload(self, graph, tmp_path):
+    def test_legacy_json_base_gets_a_full_bin_write(self, tmp_path):
+        """A JSON tsd/gct from an older release has no record dictionary
+        to patch: the first batch writes complete ``.bin`` artifacts."""
+        from repro.graph.io import read_edge_list
         from repro.service import DiversityService
         from repro.service.store import IndexStore
-        store = IndexStore(tmp_path)
-        service = DiversityService.start(graph, store=store)
+        graph_file, root = legacy_json_store(tmp_path)
+        graph = read_edge_list(graph_file)
+        service = DiversityService.warm(graph, IndexStore(root))
+        before = self._current(service)
+        assert before.artifacts["tsd"].endswith(".json")
         service.apply_updates(self._batch(graph, random.Random(45)))
         after = self._current(service)
         for name, index in self._indexes(service):
-            path = store.root / after.artifacts[name]
-            assert path.suffix == ".json"
-            assert json.loads(path.read_text(encoding="utf-8")) == \
-                json.loads(dumps_payload(index.to_payload()))
+            assert after.artifacts[name].endswith(f"{name}.bin")
+            assert (root / after.artifacts[name]).read_bytes() == \
+                encode_artifact(index.to_payload(), fingerprint=after.key)
 
     def test_warm_mmap_service_applies_its_first_batch_as_a_delta(
             self, graph, tmp_path):
@@ -683,8 +643,8 @@ class TestRestrictedDeltaWrites:
         from repro.core.online import online_search
         from repro.service import DiversityService
         from repro.service.store import IndexStore
-        DiversityService.start(graph, store=IndexStore(tmp_path, codec="bin"))
-        store = IndexStore(tmp_path, codec="bin")
+        DiversityService.start(graph, store=IndexStore(tmp_path))
+        store = IndexStore(tmp_path)
         warm = DiversityService.warm(graph, store)
         held = warm.snapshot
         assert held.tsd._weights is None and held.gct._tau_sorted is None
@@ -723,3 +683,92 @@ class TestRestrictedDeltaWrites:
 
         assert held.tsd._weights is None and held.gct._tau_sorted is None
         assert look() == seen
+
+
+# ----------------------------------------------------------------------
+# Legacy stores: JSON tsd/gct still load, migrate one way to .bin
+# ----------------------------------------------------------------------
+class TestLegacyJsonStore:
+    KRS = [(k, r) for k in (2, 3, 4, 5) for r in (1, 3, 17, 20)]
+
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        from repro.graph.io import read_edge_list
+        graph_file, root = legacy_json_store(tmp_path)
+        return read_edge_list(graph_file), root
+
+    def _assert_ranks_like_a_cold_build(self, graph, service):
+        from repro.engine import QueryEngine
+        cold = QueryEngine(graph)
+        for k, r in self.KRS:
+            got, want = service.top_r(k, r), cold.top_r(k, r)
+            assert (got.vertices, got.scores) == \
+                (want.vertices, want.scores), (k, r)
+
+    def test_warm_start_ranks_like_a_cold_build(self, legacy):
+        from repro.service import DiversityService
+        from repro.service.store import IndexStore
+        graph, root = legacy
+        warm = DiversityService.warm(graph, IndexStore(root))
+        assert warm.warm_started
+        assert isinstance(warm.snapshot.tsd._forests, dict)  # eager
+        assert warm.top_r(4, 1).vertices == [LEGACY_V]
+        self._assert_ranks_like_a_cold_build(graph, warm)
+
+    def test_convert_migrates_to_bin_once(self, legacy):
+        from repro.service import DiversityService
+        from repro.service.store import IndexStore
+        from repro.storage.lazy import LazyForestMap
+        graph, root = legacy
+        assert IndexStore(root).convert() == 3  # v1 tsd + gct, v2 gct
+        store = IndexStore(root)
+        version = store.current(graph)
+        for name in ("tsd", "gct"):
+            assert version.artifacts[name].endswith(f"{name}.bin")
+            with ArtifactReader(root / version.artifacts[name]) as reader:
+                reader.verify_checksum()
+                assert reader.fingerprint == version.key
+        assert version.artifacts["hybrid"].endswith("hybrid.json")
+        assert sorted(p.name for p in root.rglob("*.json")) == \
+            ["hybrid.json", "manifest.json"]  # legacy files unlinked
+        warm = DiversityService.warm(graph, store)
+        assert isinstance(warm.snapshot.tsd._forests, LazyForestMap)
+        self._assert_ranks_like_a_cold_build(graph, warm)
+        assert IndexStore(root).convert() == 0  # nothing left to migrate
+
+    def test_convert_rewires_carried_forward_references(self, legacy):
+        """Two versions sharing one carried-forward artifact file must
+        both point at the single migrated file afterwards."""
+        from repro.service.store import IndexStore
+        graph, root = legacy
+        store = IndexStore(root)
+        v1, v2 = store.versions(store.current(graph).key)
+        assert v1.artifacts["tsd"] == v2.artifacts["tsd"]  # carried
+        assert v1.artifacts["gct"] != v2.artifacts["gct"]
+        store.convert()
+        v1, v2 = store.versions(v2.key)
+        assert v1.artifacts["tsd"] == v2.artifacts["tsd"]
+        assert v2.artifacts["tsd"].endswith("v1/tsd.bin")
+        assert (root / v2.artifacts["tsd"]).is_file()
+
+    @pytest.mark.parametrize("name, payload", [
+        ("scores", {"format": SCORES_FORMAT, "version": 1,
+                    "thresholds": {"3": [["v"]]}}),
+        ("scores", {"format": "nope"}),
+        ("hybrid", {"format": "nope"}),
+        ("tsd", {"format": "nope"}),
+        ("gct", ["not", "a", "payload"]),
+    ], ids=["scores-row", "scores-format", "hybrid", "tsd", "gct"])
+    def test_damaged_artifacts_raise_store_errors(self, legacy, name,
+                                                  payload):
+        """Every artifact decode in ``load`` fails typed, naming the
+        file — never a bare ValueError or a foreign error class."""
+        from repro.service.snapshot import scores_to_payload
+        from repro.service.store import IndexStore
+        graph, root = legacy
+        store = IndexStore(root)
+        store.put_scores(graph, scores_to_payload({3: ({}, [])}))
+        path = root / store.current(graph).artifacts[name]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(StoreError, match=re.escape(str(path))):
+            store.load(graph)
