@@ -13,7 +13,9 @@ The script doubles as the `make smoke-service` end-to-end check, so it
 1. first boot: cold build, artifacts persisted;
 2. restart: warm start from the store — zero index builds;
 3. live updates: an insert/delete batch, fine-grained invalidation;
-4. correctness: every answer is rank-identical to a fresh engine.
+4. correctness: every answer is rank-identical to a fresh engine, and
+   the store key the batch derived from its changed vertices alone is
+   the one a fresh process computes for the updated graph.
 
 Run:  python examples/diversity_service.py
 """
@@ -23,7 +25,9 @@ import tempfile
 from repro.core.online import online_search
 from repro.datasets.synthetic import powerlaw_cluster
 from repro.engine import QueryEngine
-from repro.service import DiversityService, IndexStore, delete, insert
+from repro.graph.graph import Graph
+from repro.service import (DiversityService, IndexStore, delete,
+                           graph_fingerprint, insert)
 
 WORKLOAD = [(3, 5), (4, 10), (3, 20), (5, 5), (4, 3)]
 
@@ -84,6 +88,19 @@ def main() -> None:
     assert ranked(revived.top_r(4, 5)) == ranked(service.top_r(4, 5))
     print(f"Patched artifacts re-versioned: snapshot is now "
           f"v{service.snapshot.version}")
+
+    # The ack hashed only the segments its edges changed, yet filed the
+    # version under the key of the whole updated content: a process that
+    # reads the graph afresh (original vertex order, batch applied)
+    # computes the same key and warm-starts from it.
+    rebuilt = Graph(vertices=list(graph.vertices()), edges=graph.edges())
+    for update in batch:
+        (rebuilt.add_edge if update.op == "insert"
+         else rebuilt.remove_edge)(update.u, update.v)
+    assert service.snapshot.key == graph_fingerprint(rebuilt)
+    assert DiversityService.start(rebuilt, store=store).warm_started
+    print(f"A fresh process on the updated graph warm-starts from key "
+          f"{service.snapshot.key[:12]}…")
 
     print("\nService report:")
     print(service.stats_summary())

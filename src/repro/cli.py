@@ -228,14 +228,15 @@ def _parse_update_list(raw: str) -> List[tuple]:
 
 
 def _cmd_serve_warm(args: argparse.Namespace) -> int:
-    from repro.service import DiversityService, IndexStore
+    from repro.service import ContentKey, DiversityService, IndexStore
     graph = _load_graph(args.graph)
     store = IndexStore(args.store)
-    if not store.has(graph):
+    content = ContentKey.of(graph)  # hashed once, for both store calls
+    if not store.has(graph, key=content.digest):
         print(f"error: {args.store} has no stored indexes for this graph's "
               "content; run `repro serve-build` first", file=sys.stderr)
         return 1
-    service = DiversityService.warm(graph, store)
+    service = DiversityService.warm(graph, store, content=content)
     queries = _parse_query_list(args.queries)
     for result in service.top_r_many(queries):
         print(result.summary())

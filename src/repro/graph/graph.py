@@ -251,6 +251,29 @@ class Graph:
         clone._num_edges = self._num_edges
         return clone
 
+    def branch(self, touched: Iterable[Vertex]) -> "Graph":
+        """A copy that shares every adjacency set except ``touched``'s.
+
+        The successor-graph counterpart of :meth:`copy`: the vertex
+        dicts are copied (two C-level dict copies), but only the
+        adjacency sets of ``touched`` vertices are duplicated — every
+        other vertex's set is *the same object* in both graphs.  The
+        caller may therefore only change edges whose endpoints are all
+        in ``touched`` (new vertices get fresh sets and are safe);
+        mutating any other vertex's adjacency would reach into this
+        graph.  Vertices of ``touched`` not in the graph are ignored.
+        """
+        clone = Graph.__new__(Graph)
+        clone._adj = dict(self._adj)
+        for v in touched:
+            nbrs = clone._adj.get(v)
+            if nbrs is not None:
+                clone._adj[v] = set(nbrs)
+        clone._index = dict(self._index)
+        clone._next_index = self._next_index
+        clone._num_edges = self._num_edges
+        return clone
+
     def induced_subgraph(self, vertices: Iterable[Vertex]) -> "Graph":
         """The subgraph induced by ``vertices`` (paper Section 2, ``G_S``).
 

@@ -23,6 +23,7 @@ rank-identical to a cold engine on the same graph.
 from repro.service.store import (
     ARTIFACT_NAMES,
     CompactionReport,
+    ContentKey,
     IndexStore,
     StoredIndexes,
     StoreVersion,
@@ -45,6 +46,7 @@ from repro.service.service import DiversityService
 __all__ = [
     "ARTIFACT_NAMES",
     "CompactionReport",
+    "ContentKey",
     "DiversityService",
     "EdgeUpdate",
     "IndexStore",

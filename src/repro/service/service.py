@@ -39,7 +39,7 @@ from repro.errors import StoreError
 from repro.graph.graph import Graph, Vertex
 from repro.core.results import SearchResult
 from repro.service.snapshot import Snapshot, scores_to_payload
-from repro.service.store import IndexStore, StoreVersion
+from repro.service.store import ContentKey, IndexStore, StoreVersion
 from repro.service.updates import UpdateLike, UpdateReport, apply_batch
 
 #: How many of the latest :class:`UpdateReport` ledgers a service keeps
@@ -103,27 +103,37 @@ class DiversityService:
         loaded (zero index builds); otherwise the service cold-builds
         once — through the :mod:`repro.build` pipeline under
         ``build_jobs`` — and persists the artifacts so the *next* start
-        is warm.
+        is warm.  The graph is hashed once, and the snapshot keeps the
+        key for its update batches to derive theirs from.
         """
-        if store is not None and store.has(graph):
-            return cls.warm(graph, store, build_jobs=build_jobs)
-        return cls.cold(graph, store=store, build_jobs=build_jobs)
+        if store is None:
+            return cls.cold(graph, build_jobs=build_jobs)
+        content = ContentKey.of(graph)
+        if store.has(graph, key=content.digest):
+            return cls.warm(graph, store, build_jobs=build_jobs,
+                            content=content)
+        return cls.cold(graph, store=store, build_jobs=build_jobs,
+                        content=content)
 
     @classmethod
     def warm(cls, graph: Graph, store: IndexStore,
-             build_jobs: Optional[int] = 0) -> "DiversityService":
+             build_jobs: Optional[int] = 0, *,
+             content: Optional[ContentKey] = None) -> "DiversityService":
         """Serve from stored artifacts only — no index builds at all.
 
         ``build_jobs`` still matters later: update batches repair
-        affected ego-networks under it.  Raises
+        affected ego-networks under it.  ``content`` is the graph's
+        :class:`~repro.service.store.ContentKey` when the caller already
+        computed it (otherwise this hashes the graph).  Raises
         :class:`~repro.errors.StoreError` when the store has no lineage
         for this graph's content.
         """
-        loaded = store.load(graph)
+        content = content or ContentKey.of(graph)
+        loaded = store.load(graph, key=content.digest)
         snapshot = Snapshot(graph, tsd=loaded.tsd, gct=loaded.gct,
                             hybrid=loaded.hybrid, scores=loaded.scores,
                             version=loaded.version.version,
-                            key=loaded.version.key)
+                            key=loaded.version.key, content=content)
         service = cls(snapshot, store=store, build_jobs=build_jobs)
         service.warm_started = True
         return service
@@ -131,12 +141,15 @@ class DiversityService:
     @classmethod
     def cold(cls, graph: Graph,
              store: Optional[IndexStore] = None,
-             build_jobs: Optional[int] = 0) -> "DiversityService":
-        """Build the snapshot from scratch; persist it when given a store."""
-        snapshot = Snapshot.build(graph, jobs=build_jobs)
+             build_jobs: Optional[int] = 0, *,
+             content: Optional[ContentKey] = None) -> "DiversityService":
+        """Build the snapshot from scratch; persist it when given a store
+        (``content`` as in :meth:`warm`)."""
+        snapshot = Snapshot.build(graph, jobs=build_jobs, content=content)
         service = cls(snapshot, store=store, build_jobs=build_jobs)
         if store is not None:
-            version = store.put(graph, tsd=snapshot.tsd, gct=snapshot.gct)
+            version = store.put(graph, tsd=snapshot.tsd, gct=snapshot.gct,
+                                key=snapshot.content_key)
             snapshot.version = version.version
             snapshot.key = version.key
         return service
@@ -196,18 +209,20 @@ class DiversityService:
                                                 jobs=self.build_jobs)
             if self._store is not None:
                 previous = self._version_of(current)
-                # graph_view: store writes only read the graph
-                # (fingerprint + payload), and Snapshot.graph would
-                # charge a full defensive copy per update batch.
-                # changed_vertices lets the store patch only the
-                # affected records instead of rewriting artifacts.
+                # graph_view: store writes only read the graph, and
+                # Snapshot.graph would charge a full defensive copy per
+                # update batch.  The key apply_batch derived from the
+                # batch's segments spares the store a full re-hash, and
+                # changed_vertices lets it patch only the affected
+                # records instead of rewriting artifacts.
                 version = self._store.put(
                     next_snapshot.graph_view,
                     tsd=next_snapshot.tsd, gct=next_snapshot.gct,
                     hybrid=next_snapshot.hybrid,
                     scores=scores_to_payload(next_snapshot.score_entries()),
                     previous=previous,
-                    changed_vertices=report.affected_vertices)
+                    changed_vertices=report.affected_vertices,
+                    key=next_snapshot.content_key)
                 next_snapshot.version = version.version
                 next_snapshot.key = version.key
             self._snapshot = next_snapshot  # atomic publish

@@ -2,19 +2,23 @@
 
 Concurrent serving needs one property above all: *nothing a reader
 touches may change under it*.  The snapshot delivers that by
-construction — it owns a private copy of the graph, fully built
-indexes, and a per-``k`` score-map cache, none of which are ever
-mutated after publication.  A reader grabs a snapshot reference once
-(an atomic operation) and serves the whole query from it; writers
+construction — it owns a graph no caller can mutate (a private copy,
+or for the update path's successors a branch sharing its predecessor's
+untouched adjacency sets), fully built indexes, and a per-``k``
+score-map cache, none of which are ever mutated after publication.  A
+reader grabs a snapshot reference once (an atomic operation) and
+serves the whole query from it; writers
 (:mod:`repro.service.updates`) build a *new* snapshot and swap the
 reference, so readers in flight keep a consistent world and never wait
 on a lock.
 
-The one internal mutation is memoisation: scoring a threshold ``k`` not
+The internal mutations are memoisation: scoring a threshold ``k`` not
 yet cached installs the computed ``(score map, ranking)`` into a plain
-dict.  That is safe lock-free — the value for a given ``k`` is a pure
-function of the immutable indexes, so concurrent computations are
-redundant but identical, and CPython dict assignment is atomic.
+dict, and the first :attr:`Snapshot.content_key` read installs the
+graph's :class:`~repro.service.store.ContentKey`.  That is safe
+lock-free — each value is a pure function of the immutable graph and
+indexes, so concurrent computations are redundant but identical, and
+CPython attribute and dict assignment is atomic.
 
 Answers follow the canonical ranking contract of
 :mod:`repro.core.results`: descending score, ties broken by graph
@@ -32,7 +36,7 @@ Examples
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph, Vertex
@@ -40,6 +44,9 @@ from repro.core.results import SearchResult, build_entries
 from repro.core.tsd import TSDIndex
 from repro.core.gct import GCTIndex
 from repro.core.hybrid import HybridSearcher
+
+if TYPE_CHECKING:  # the store imports this module
+    from repro.service.store import ContentKey
 
 #: One cached threshold: the score map and the canonical ranking.
 ScoreEntry = Tuple[Dict[Vertex, int], List[Tuple[Vertex, int]]]
@@ -104,20 +111,26 @@ class Snapshot:
         Score-cache entries to seed (``k`` → (score map, ranking)),
         typically the survivors of a fine-grained invalidation.
     version, key:
-        Provenance: the store version and graph key this snapshot
-        corresponds to (0 / ``None`` for unpersisted snapshots).
+        Provenance: the store version and graph key this snapshot is
+        *persisted as* (0 / ``None`` for unpersisted snapshots).
+    content:
+        The graph's :class:`~repro.service.store.ContentKey`, when the
+        caller already computed it; otherwise :attr:`content_key`
+        computes it on first use.
     """
 
     __slots__ = ("_graph", "_tsd", "_gct", "_hybrid", "_scores",
-                 "version", "key")
+                 "_content", "version", "key")
 
     def __init__(self, graph: Graph,
                  tsd: Optional[TSDIndex] = None,
                  gct: Optional[GCTIndex] = None,
                  hybrid: Optional[HybridSearcher] = None,
                  scores: Optional[Dict[int, ScoreEntry]] = None,
-                 version: int = 0, key: Optional[str] = None) -> None:
-        self._install(graph.copy(), tsd, gct, hybrid, scores, version, key)
+                 version: int = 0, key: Optional[str] = None,
+                 content: Optional["ContentKey"] = None) -> None:
+        self._install(graph.copy(), tsd, gct, hybrid, scores, version, key,
+                      content)
 
     @classmethod
     def adopting(cls, graph: Graph, **parts) -> "Snapshot":
@@ -126,7 +139,7 @@ class Snapshot:
 
         For a caller that built ``graph`` for this snapshot and holds
         no other reference it will ever use — the update path, whose
-        batch is applied to a private copy already.  Anyone else uses
+        batch is applied to a private branch already.  Anyone else uses
         the constructor: a graph mutated after publication breaks the
         immutability every reader relies on.
         """
@@ -139,7 +152,8 @@ class Snapshot:
                  gct: Optional[GCTIndex] = None,
                  hybrid: Optional[HybridSearcher] = None,
                  scores: Optional[Dict[int, ScoreEntry]] = None,
-                 version: int = 0, key: Optional[str] = None) -> None:
+                 version: int = 0, key: Optional[str] = None,
+                 content: Optional["ContentKey"] = None) -> None:
         if tsd is None and gct is None:
             raise InvalidParameterError(
                 "a snapshot needs at least one built index (tsd or gct)")
@@ -148,6 +162,7 @@ class Snapshot:
         self._gct = gct if gct is not None else GCTIndex.compress(tsd)
         self._hybrid = hybrid
         self._scores: Dict[int, ScoreEntry] = dict(scores or {})
+        self._content = content
         self.version = version
         self.key = key
 
@@ -155,7 +170,8 @@ class Snapshot:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: Graph, jobs: Optional[int] = 0) -> "Snapshot":
+    def build(cls, graph: Graph, jobs: Optional[int] = 0,
+              content: Optional["ContentKey"] = None) -> "Snapshot":
         """Cold-build a snapshot straight from a graph (TSD and GCT).
 
         Construction goes through the :mod:`repro.build` pipeline: one
@@ -164,11 +180,12 @@ class Snapshot:
         :meth:`repro.build.BuildPlan.decide`; ``None`` keeps the legacy
         per-vertex TSD build + compress).  The resulting artifacts are
         byte-identical across strategies, so snapshots built with
-        different ``jobs`` values share store lineages.
+        different ``jobs`` values share store lineages.  ``content`` is
+        passed through to the constructor.
         """
         from repro.build import build_indexes
         tsd, gct = build_indexes(graph, jobs=jobs)
-        return cls(graph, tsd=tsd, gct=gct)
+        return cls(graph, tsd=tsd, gct=gct, content=content)
 
     # ------------------------------------------------------------------
     # Read-only state
@@ -195,12 +212,37 @@ class Snapshot:
         accidental full-graph traversals.  Callers that only *read*
         (iteration, degree lookups, fingerprinting) use this view and
         must never mutate it — mutating a published snapshot's graph
-        breaks the immutability contract and desynchronises its store
-        key.  Callers that mutate (the update pipeline's
-        :func:`~repro.service.updates.apply_batch`) stay on
-        :attr:`graph`.
+        breaks the immutability contract (successor snapshots share its
+        adjacency sets) and desynchronises its store key.  The update
+        pipeline's :func:`~repro.service.updates.apply_batch` mutates a
+        :meth:`~repro.graph.graph.Graph.branch` of this view, never the
+        view itself.
         """
         return self._graph
+
+    @property
+    def content_key(self) -> str:
+        """The store key of this snapshot's graph content.
+
+        Equal to :func:`~repro.service.store.graph_fingerprint` of the
+        graph, and defined whether or not the snapshot was stored —
+        unlike :attr:`key`, the key it is *persisted as*.  The first
+        read pays the O(n + m) encode unless the key was handed in (a
+        service start computes it once for the store anyway); the
+        update path derives a successor's key from this one's segments
+        (:attr:`content`).
+        """
+        content = self._content
+        if content is None:
+            from repro.service.store import ContentKey
+            content = self._content = ContentKey.of(self._graph)
+        return content.digest
+
+    @property
+    def content(self) -> Optional["ContentKey"]:
+        """The computed :class:`~repro.service.store.ContentKey`, or
+        ``None`` while nobody has read :attr:`content_key`."""
+        return self._content
 
     @property
     def num_vertices(self) -> int:

@@ -23,7 +23,9 @@ Design notes
   — a SHA-256 over the insertion-ordered vertex list and the canonical
   edge list.  Two structurally identical graphs (same labels, same
   insertion order) share a key, so a warm start never needs a path or a
-  name, just the graph it is about to serve.
+  name, just the graph it is about to serve.  :class:`ContentKey`
+  holds the hashed bytes in per-vertex segments, so a live update
+  re-encodes only the segments its edges change to key its version.
 * **Versioning.**  Every :meth:`IndexStore.put` creates a new version.
   Artifacts the caller did not re-supply are *carried forward* by
   reference: the manifest records each artifact's relative path, so a
@@ -112,16 +114,88 @@ def graph_fingerprint(graph: Graph) -> str:
     contract breaks ties by insertion order).  Labels must be
     JSON-encodable — the same requirement the index savers impose.
 
-    Edges are digested as index pairs sorted by insertion position:
-    :meth:`Graph.edges` iterates adjacency *sets*, whose internal order
-    is not preserved by :meth:`Graph.copy`, so hashing the raw
-    iteration order would give a graph and its copy different keys.
+    The hashed blob is the compact JSON of ``[vertices, edges]``, the
+    edges as position pairs sorted ascending: :meth:`Graph.edges`
+    iterates adjacency *sets*, whose internal order is not preserved by
+    :meth:`Graph.copy`, so hashing the raw iteration order would give a
+    graph and its copy different keys.  :class:`ContentKey` encodes
+    that blob in per-vertex segments; this is its full build.
     """
-    position = {v: i for i, v in enumerate(graph.vertices())}
-    edges = sorted((position[u], position[v]) for u, v in graph.edges())
-    blob = json.dumps([list(graph.vertices()), edges],
-                      separators=(",", ":"), sort_keys=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return ContentKey.of(graph).digest
+
+
+def _segment(i: int, neighbours: Iterable[int]) -> str:
+    """Vertex ``i``'s share of the sorted edge list: ``"[i,j],"`` for
+    every neighbour position ``j > i``, ascending."""
+    higher = sorted([j for j in neighbours if j > i])
+    if not higher:
+        return ""
+    head = f"[{i},"
+    return head + ("]," + head).join(map(str, higher)) + "],"
+
+
+def _vertices_json(order: List) -> str:
+    return json.dumps(order, separators=(",", ":"))
+
+
+class ContentKey:
+    """A graph's store key, kept as the per-vertex pieces it hashes.
+
+    The sorted edge list :func:`graph_fingerprint` hashes is the
+    concatenation, in vertex position order, of one *segment* per
+    vertex ``i``: ``"[i,j],"`` for each neighbour ``j`` positioned after
+    ``i``, ascending.  Holding the segments lets an edge batch re-encode
+    only the segments it changed (each edge's lower-positioned
+    endpoint's) and re-hash their join, so a successor graph's key
+    costs its change plus one O(m)-byte SHA-256 — and is byte-identical
+    to a full :func:`graph_fingerprint`, so no store is ever re-keyed.
+    A key is immutable once built; successors share its segments.
+    """
+
+    __slots__ = ("_vertices", "_segments", "digest")
+
+    def __init__(self, vertices_json: str, segments: List[str]) -> None:
+        self._vertices = vertices_json
+        self._segments = segments
+        blob = "[" + vertices_json + ",[" + "".join(segments)[:-1] + "]]"
+        #: The hex SHA-256 — what the store files this content under.
+        self.digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    @classmethod
+    def of(cls, graph: Graph) -> "ContentKey":
+        """Encode every vertex's segment: the O(n + m) full build."""
+        order = list(graph.vertices())
+        position = {v: i for i, v in enumerate(order)}
+        return cls(_vertices_json(order),
+                   [_segment(i, map(position.__getitem__,
+                                    graph.neighbors(v)))
+                    for i, v in enumerate(order)])
+
+    def successor(self, graph: Graph, order: List,
+                  position: Dict, owners: Iterable) -> "ContentKey":
+        """The key of ``graph``: this key's graph after an edge batch.
+
+        ``order``/``position`` are ``graph``'s vertex list and position
+        map, and must extend this key's vertex list (an edge batch only
+        appends vertices, so no position shifts).  ``owners`` are the
+        vertices whose segments the batch changed — the lower-positioned
+        endpoint of every inserted or deleted edge.  That covers the
+        appended vertices too: a segment only holds edges to vertices
+        positioned later, so an appended vertex's edges are all batch
+        edges, and it owns every one in its segment.
+        """
+        segments = list(self._segments)
+        grown = len(order) - len(segments)
+        vertices_json = self._vertices
+        if grown:
+            segments.extend([""] * grown)
+            tail = _vertices_json(order[-grown:])
+            vertices_json = (tail if vertices_json == "[]"
+                             else vertices_json[:-1] + "," + tail[1:])
+        for i in sorted({position[v] for v in owners}):
+            segments[i] = _segment(i, map(position.__getitem__,
+                                          graph.neighbors(order[i])))
+        return ContentKey(vertices_json, segments)
 
 
 @dataclass(frozen=True)
@@ -371,7 +445,8 @@ class IndexStore:
             hybrid: Optional[HybridSearcher] = None,
             scores: Optional[Dict] = None,
             previous: Optional[StoreVersion] = None,
-            changed_vertices=None) -> StoreVersion:
+            changed_vertices=None,
+            key: Optional[str] = None) -> StoreVersion:
         """Persist artifacts as a new version of this graph's lineage.
 
         Artifacts passed as ``None`` are carried forward by reference
@@ -402,6 +477,9 @@ class IndexStore:
         when the delta is refused (changed vertex set), the full
         payload is built and written instead.
 
+        ``key`` skips re-hashing, as in :meth:`has`: the service passes
+        its snapshot's :attr:`~repro.service.snapshot.Snapshot.content_key`.
+
         Artifact files are written via tmp + :func:`os.replace` and the
         whole operation holds the store's on-disk lock (with a manifest
         re-read), so a crash mid-write never leaves a torn artifact and
@@ -409,8 +487,8 @@ class IndexStore:
         """
         if scores is not None and not scores.get("thresholds"):
             scores = None  # nothing cached: don't store an empty payload
+        key = key or graph_fingerprint(graph)
         with self._locked():
-            key = graph_fingerprint(graph)
             entry = self._manifest["graphs"].setdefault(
                 key, {"current": 0, "versions": {}})
             number = entry["current"] + 1

@@ -146,7 +146,11 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
     The input snapshot is never mutated — concurrent readers keep
     serving from it.  The returned snapshot carries:
 
-    * a graph with every update applied (in order);
+    * a graph with every update applied (in order): a
+      :meth:`~repro.graph.graph.Graph.branch` of the input's, sharing
+      every adjacency set the batch did not touch;
+    * its store key (:attr:`Snapshot.content_key`), derived from the
+      input's per-vertex segments when the input's key was computed;
     * a TSD index (when the input had one) and a GCT index with only
       the affected vertices' entries rebuilt;
     * hybrid rankings recomputed from the repaired TSD forests when the
@@ -163,10 +167,13 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
     """
     start = time.perf_counter()
     batch = [_coerce(update) for update in updates]
-    graph = snapshot.graph  # the property already hands out a copy
-    old_order = list(graph.vertices())
+    # A branch, not a copy: only the batch endpoints' adjacency sets are
+    # duplicated (they are the only ones the batch mutates); every other
+    # set is shared with the input snapshot's graph, which stays intact.
+    graph = snapshot.graph_view.branch(
+        end for update in batch for end in (update.u, update.v))
 
-    # --- 1. mutate the private graph copy, collecting the affected set
+    # --- 1. mutate the private branch, collecting the affected set ----
     affected: Set[Vertex] = set()
     for update in batch:
         if update.op == "insert":
@@ -180,9 +187,20 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
             # still exist (mirrors DynamicTSDIndex.delete_edge).
             affected |= _affected_by(graph, update.u, update.v)
             graph.remove_edge(update.u, update.v)
+    # Edge updates only ever append vertices, so no position shifts.
     order = list(graph.vertices())
     position = {v: i for i, v in enumerate(order)}
-    vertex_set_changed = order != old_order
+    vertex_set_changed = len(order) != snapshot.num_vertices
+
+    # The next store key re-encodes only the segments the batch changed
+    # (each edge's lower-positioned endpoint's) when this snapshot's key
+    # was computed; otherwise the next snapshot computes its own on use.
+    content = snapshot.content
+    if content is not None:
+        content = content.successor(
+            graph, order, position,
+            [min(update.u, update.v, key=position.__getitem__)
+             for update in batch])
 
     # --- 2. capture pre-update profiles of the affected vertices ------
     old_profiles = {v: _old_profile(snapshot, v) for v in affected}
@@ -237,11 +255,12 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
         retained = {k: entry for k, entry in old_entries.items()
                     if k not in invalidated}
 
-    # The graph is this call's private copy and is not touched again,
-    # so the next snapshot takes it over instead of copying it twice.
+    # The graph is this call's private branch and is not touched again,
+    # so the next snapshot takes it over instead of copying it.
     next_snapshot = Snapshot.adopting(
         graph, tsd=new_tsd, gct=new_gct, hybrid=new_hybrid,
-        scores=retained, version=snapshot.version + 1, key=None)
+        scores=retained, version=snapshot.version + 1, key=None,
+        content=content)
     report = UpdateReport(
         num_updates=len(batch),
         affected_vertices=tuple(sorted(affected, key=repr)),

@@ -162,6 +162,20 @@ class TestBulkOperations:
     def test_copy_equal(self, figure1):
         assert figure1.copy() == figure1
 
+    def test_branch_shares_untouched_adjacency_only(self, figure1):
+        before = figure1.copy()
+        branch = figure1.branch(["v", "x1", "ghost"])
+        assert branch == figure1
+        for w in figure1.vertices():
+            shared = branch.neighbors(w) is figure1.neighbors(w)
+            assert shared == (w not in ("v", "x1")), w
+        branch.remove_edge("v", "x1")
+        branch.add_edge("v", "new")
+        assert figure1 == before
+        assert branch.num_edges == figure1.num_edges
+        assert list(branch.vertices()) == list(figure1.vertices()) + ["new"]
+        assert branch.canonical_edge("new", "v") == ("v", "new")
+
     def test_induced_subgraph(self, k4):
         sub = k4.induced_subgraph([0, 1, 2])
         assert sub.num_vertices == 3

@@ -37,6 +37,7 @@ from repro.core.online import online_search
 from repro.datasets.synthetic import add_planted_cliques, erdos_renyi
 from repro.engine import QueryEngine
 from repro.service.snapshot import Snapshot
+from repro.service.store import graph_fingerprint
 from repro.service.updates import apply_batch
 from repro.cluster import ShardedCluster
 from repro.server import ServerClient
@@ -239,12 +240,13 @@ def _observe(snapshot: Snapshot):
     }
 
 
-def _batches(graph: Graph, rng: random.Random):
+def _batches(graph: Graph, rng: random.Random, rounds: int = 1):
     """Seeded batches, each valid on the graph its predecessors left:
     same-vertex-set, vertex-attaching, one that deletes a vertex's last
     edges (it stays, isolated, with an empty record), same-set twice
-    more."""
+    more — that cycle ``rounds`` times."""
     graph = graph.copy()
+    attached = iter(range(rounds))
 
     def applied(batch):
         for op, u, v in batch:
@@ -263,11 +265,13 @@ def _batches(graph: Graph, rng: random.Random):
         return applied(batch)
 
     def attaching():
+        tag = next(attached) or ""
+        a, b = f"new-a{tag}", f"new-b{tag}"
         anchors = rng.sample(list(graph.vertices()),
                              min(3, graph.num_vertices))
-        batch = [("insert", "new-a", "new-b")]
-        batch += [("insert", anchor, "new-a") for anchor in anchors]
-        batch += [("insert", anchor, "new-b") for anchor in anchors[:1]]
+        batch = [("insert", a, b)]
+        batch += [("insert", anchor, a) for anchor in anchors]
+        batch += [("insert", anchor, b) for anchor in anchors[:1]]
         return applied(batch)
 
     def isolating():
@@ -276,7 +280,8 @@ def _batches(graph: Graph, rng: random.Random):
         return applied([("delete", victim, u) for u in
                         sorted(graph.neighbors(victim), key=repr)])
 
-    for make in (same_set, attaching, isolating, same_set, same_set):
+    for make in (same_set, attaching, isolating, same_set,
+                 same_set) * rounds:
         batch = make()
         if batch:
             yield batch
@@ -373,3 +378,74 @@ class TestIncrementalSuccessors:
         assert next_gct._zero_rows is None, name
         assert _derived_postings(next_gct) == \
             _derived_postings(build_indexes(smaller)[1]), name
+
+
+def _rebuilt(graph: Graph) -> Graph:
+    """The same content built from scratch: fresh dicts, fresh sets."""
+    return Graph(vertices=list(graph.vertices()), edges=list(graph.edges()))
+
+
+class TestIncrementalStoreKey:
+    """The store key an ack files its version under is derived from the
+    predecessor's per-vertex segments, and the graph it hashes is a
+    branch sharing the predecessor's untouched adjacency sets."""
+
+    def test_successor_keys_equal_a_full_fingerprint(self, case):
+        """After every batch — vertex-growing ones, and insert-then-delete
+        round trips within one batch and across two — the derived key
+        equals a full fingerprint of the snapshot's graph and of the
+        same content rebuilt from scratch."""
+        name, graph, _ = case
+        current = Snapshot.build(graph)
+        assert current.content_key == graph_fingerprint(graph), name
+
+        def step(batch):
+            nonlocal current
+            current, _ = apply_batch(current, batch)
+            assert current.content is not None, (name, batch)  # derived
+            view = current.graph_view
+            assert current.content_key == graph_fingerprint(view) == \
+                graph_fingerprint(_rebuilt(view)), (name, batch)
+            return current.content_key
+
+        for batch in _batches(graph, random.Random(f"key-{name}"), rounds=2):
+            step(batch)
+        assert current.num_vertices > graph.num_vertices, name  # grew
+        view = current.graph_view
+        vertices = list(view.vertices())
+        u, v = next((a, b) for i, a in enumerate(vertices)
+                    for b in vertices[i + 1:] if not view.has_edge(a, b))
+        x, y = min(view.edges(), key=repr)
+        before = current.content_key
+        assert step([("insert", u, v), ("delete", u, v)]) == before, name
+        assert step([("insert", u, v), ("delete", x, y)]) != before, name
+        assert step([("delete", u, v), ("insert", x, y)]) == before, name
+
+    def test_earlier_snapshots_keep_key_edges_and_rankings(self, case):
+        """Ten and more later batches mutate branches of each earlier
+        snapshot's graph; none may reach into it."""
+        name, graph, _ = case
+
+        def seen(snapshot):
+            view = snapshot.graph_view
+            n = view.num_vertices
+            return {
+                "key": snapshot.content_key,
+                "fingerprint": graph_fingerprint(view),
+                "edges": sorted(sorted(map(repr, edge))
+                                for edge in view.edges()),
+                "served": [_canonical(snapshot.top_r(k, n + 7, False))
+                           for k in K_SWEEP],
+                "online": [_canonical(online_search(view, k, n + 7))
+                           for k in K_SWEEP],
+            }
+
+        current = Snapshot.build(graph)
+        held = []
+        for batch in _batches(graph, random.Random(f"alias-{name}"),
+                              rounds=3):
+            held.append((current, seen(current)))
+            current, _ = apply_batch(current, batch)
+        assert len(held) > 10, name
+        for snapshot, before in held:
+            assert seen(snapshot) == before, (name, snapshot.version)

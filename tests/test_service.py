@@ -28,6 +28,7 @@ from repro.core.gct import GCTIndex
 from repro.core.hybrid import HybridSearcher
 from repro.engine import QueryEngine
 from repro.service import (
+    ContentKey,
     DiversityService,
     IndexStore,
     Snapshot,
@@ -667,6 +668,59 @@ class TestDiversityService:
                                 OSError("disk on fire")))
         with pytest.raises(OSError):
             service.apply_updates([insert("v", "w-newer")])
+
+
+# ----------------------------------------------------------------------
+# What an ack and a start cost: counted, not timed
+# ----------------------------------------------------------------------
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts whole-graph passes: ``Graph.copy`` calls and full store-key
+    builds (``ContentKey.of`` — what ``graph_fingerprint`` runs too)."""
+    counts = {"copy": 0, "full_key": 0}
+    real_copy, real_of = Graph.copy, ContentKey.of.__func__
+
+    def copy(graph):
+        counts["copy"] += 1
+        return real_copy(graph)
+
+    def of(cls, graph):
+        counts["full_key"] += 1
+        return real_of(cls, graph)
+
+    monkeypatch.setattr(Graph, "copy", copy)
+    monkeypatch.setattr(ContentKey, "of", classmethod(of))
+    return counts
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("batch", [
+        [delete("b2", "b3"), insert("a0", "b0")],
+        [insert("b0", "newcomer"), insert("newcomer", "other")],
+    ], ids=["same-vertex-set", "growing"])
+    def test_stored_ack_copies_nothing_and_hashes_no_graph(
+            self, tmp_path, work_counts, batch):
+        service = DiversityService.start(_two_cliques(),
+                                         store=IndexStore(tmp_path / "s"))
+        work_counts.update(copy=0, full_key=0)
+        service.apply_updates(batch)
+        assert work_counts == {"copy": 0, "full_key": 0}
+        assert service.snapshot.version == 2
+        assert service.snapshot.key == service.snapshot.content_key == \
+            graph_fingerprint(service.snapshot.graph)
+
+    def test_start_hashes_the_graph_once_cold_and_warm(
+            self, tmp_path, work_counts):
+        graph, store = _two_cliques(), IndexStore(tmp_path / "store")
+        for warm in (False, True):
+            work_counts["full_key"] = 0
+            service = DiversityService.start(graph, store=store)
+            assert service.warm_started is warm
+            assert work_counts["full_key"] == 1, warm
+            assert service.snapshot.key == graph_fingerprint(graph)
+            work_counts["full_key"] = 0
+            assert service.snapshot.content_key == service.snapshot.key
+            assert work_counts["full_key"] == 0, "the start's key is kept"
 
 
 # ----------------------------------------------------------------------
