@@ -7,16 +7,20 @@ is pull-shaped and idempotent — run it as often as you like; each pass
 ships only what the follower is missing.
 
 The paged binary format makes the interesting case cheap.  A delta
-re-version (:func:`repro.storage.writer.write_delta`) copies its base
-artifact and only *appends* replacement blocks and patches the offset
-dictionary — the labels blob, profile blob and heap prefix are
-byte-identical to the base.  So when the follower already holds any
-ancestor of an artifact's delta chain, the new version ships as three
-byte ranges — header, offset dictionary, appended heap tail — and the
-rest is assembled from follower-local bytes.  Every assembled (and
-every fully copied) binary artifact is verified against its header's
-SHA-256 before it is installed; a mismatch falls back to a full copy,
-and a corrupt *source* refuses to replicate at all.
+re-version (:func:`repro.storage.writer.write_delta`) over an unchanged
+vertex list copies its base artifact and only *appends* replacement
+blocks and patches the offset dictionary — the labels blob, profile
+blob and heap prefix are byte-identical to the base.  So when the
+follower already holds any ancestor of an artifact's delta chain, the
+new version ships as three byte ranges — header, offset dictionary,
+appended heap tail — and the rest is assembled from follower-local
+bytes.  A *grown* version (its batch attached vertices) has a longer
+labels blob and dictionary, so every heap offset moved: it ships
+whole, and the same-set versions after it ship as ranges over it.
+Every assembled (and every fully copied) binary artifact is verified
+against its header's SHA-256 before it is installed; a mismatch falls
+back to a full copy, and a corrupt *source* refuses to replicate at
+all.
 
 The follower's ``manifest.json`` is written last (tmp +
 :func:`os.replace`), after every artifact it references has landed —

@@ -469,13 +469,16 @@ class IndexStore:
 
         ``changed_vertices`` (an update batch's affected-vertex set)
         enables delta re-versions of ``tsd``/``gct``: the previous
-        version's artifact bytes are carried over with only the changed
-        records appended and their dictionary offsets patched — no
-        unchanged record is re-encoded, or even put in payload form
-        (see :func:`repro.storage.writer.write_delta`).  Without a
-        ``.bin`` base artifact (none, or a legacy ``.json`` one), or
-        when the delta is refused (changed vertex set), the full
-        payload is built and written instead.
+        version's record blocks are carried over as bytes and only the
+        changed records encoded — no unchanged record is re-encoded, or
+        even put in payload form (see
+        :func:`repro.storage.writer.write_delta`).  That holds for a
+        batch that attaches vertices too: an edge batch only appends to
+        the vertex list, and the delta lays the grown artifact out
+        afresh.  Without a ``.bin`` base artifact (none, or a legacy
+        ``.json`` one), or when the delta is refused (a vertex list
+        reordered, shrunk or relabelled — no edge batch makes one — or
+        a torn base), the full payload is built and written instead.
 
         ``key`` skips re-hashing, as in :meth:`has`: the service passes
         its snapshot's :attr:`~repro.service.snapshot.Snapshot.content_key`.

@@ -22,9 +22,14 @@ File layout (all integers little-endian)::
     +---------------------------+ file_len
 
 A dictionary entry of ``(0, 0)`` marks an absent record.  Delta writes
-append superseded records' replacements to the heap and patch their
-dictionary entries in place — ``dead_bytes`` accounts the garbage until
-:func:`repro.storage.writer.compact_artifact` rewrites the heap.
+over an unchanged vertex list append superseded records' replacements
+to the heap and patch their dictionary entries in place —
+``dead_bytes`` accounts the garbage until
+:func:`repro.storage.writer.compact_artifact` rewrites the heap.  A
+delta whose vertex list *extends* the base's (an update batch attached
+vertices) cannot patch in place, since the dictionary grows: it lays
+the heap out afresh, copying every unchanged block as bytes, so it
+carries no dead bytes.
 
 Record blocks:
 
@@ -166,6 +171,21 @@ def pack_dict_entry(offset: int, length: int) -> bytes:
 
 def unpack_dict_entry(buf, entry_offset: int) -> Tuple[int, int]:
     return _DICT_ENTRY.unpack_from(buf, entry_offset)
+
+
+def unpack_dict(buf, dict_off: int,
+                count: int) -> Tuple[Sequence[int], Sequence[int]]:
+    """A whole offset dictionary as ``(offsets, lengths)`` columns."""
+    flat = struct.unpack_from(f"<{2 * count}Q", buf, dict_off)
+    return flat[0::2], flat[1::2]
+
+
+def pack_dict(offsets: Sequence[int], lengths: Sequence[int]) -> bytes:
+    """Inverse of :func:`unpack_dict`."""
+    flat: List[int] = [0] * (2 * len(offsets))
+    flat[0::2] = offsets
+    flat[1::2] = lengths
+    return struct.pack(f"<{len(flat)}Q", *flat)
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,19 @@ Three entry points:
 
 * :func:`write_artifact` — full encode, durable via tmp +
   :func:`os.replace`.
-* :func:`write_delta` — copy-on-write re-version: copy the base
-  artifact's bytes, append replacement records for the changed vertices
-  to the heap, patch their offset-dictionary entries, and account the
-  superseded bytes in ``dead_bytes``.  Falls back (returns ``False``)
-  whenever the base is unusable or the vertex set changed — the caller
-  then does a full :func:`write_artifact`.
-* :func:`compact_artifact` — rewrite the heap dropping dead bytes.
+* :func:`write_delta` — re-version a base artifact from the changed
+  vertices' records alone.  Over the same vertex list it is
+  copy-on-write: copy the base's bytes, append replacement records to
+  the heap, patch their offset-dictionary entries, and account the
+  superseded bytes in ``dead_bytes``.  Over a vertex list that
+  *extends* the base's (an update batch attached vertices) it relays
+  the heap out in one pass — unchanged blocks copied as bytes, changed
+  ones encoded — so the file equals a full encode.  Falls back
+  (returns ``False``) whenever the base is unusable or the vertex list
+  was reordered, shrunk or relabelled — the caller then does a full
+  :func:`write_artifact`.
+* :func:`compact_artifact` — the same relayout with no replacements:
+  the heap without its dead bytes.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ import dataclasses
 import hashlib
 import json
 import os
+from itertools import accumulate
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ArtifactFormatError
 from repro.storage.format import (
@@ -38,7 +45,9 @@ from repro.storage.format import (
     Header,
     encode_gct_block,
     encode_tsd_block,
+    pack_dict,
     pack_dict_entry,
+    unpack_dict,
     unpack_dict_entry,
 )
 from repro.util.jsonio import dumps_payload
@@ -104,38 +113,27 @@ def _block_at(payload: Dict, kind: int,
     return encode_gct_block(nodes, edges), max_w
 
 
-def encode_artifact(payload: Dict,
-                    fingerprint: Optional[str] = None) -> bytes:
-    """Encode one index payload as a complete binary artifact."""
-    kind = payload_kind(payload)
-    labels = _labels_blob(payload)
-    profile = _profile_blob(payload)
-    num_vertices = len(payload["vertices"])
-
+def _assemble(kind: int, fingerprint: bytes, labels: bytes, profile: bytes,
+              blocks: List[Optional[bytes]], max_weight: int) -> bytes:
+    """A complete artifact: one record block per position (``None`` for
+    no record), laid out contiguously in position order — no dead
+    bytes."""
     labels_off = HEADER_SIZE
     profile_off = labels_off + len(labels)
     dict_off = profile_off + len(profile)
-    heap_off = dict_off + num_vertices * DICT_ENTRY_SIZE
+    heap_off = dict_off + len(blocks) * DICT_ENTRY_SIZE
 
-    entries = []
-    heap = bytearray()
-    max_weight = 0
-    for pos in range(num_vertices):
-        block, block_max = _block_at(payload, kind, pos)
-        if block is None:
-            entries.append(pack_dict_entry(0, 0))
-            continue
-        entries.append(pack_dict_entry(heap_off + len(heap), len(block)))
-        heap += block
-        if block_max > max_weight:
-            max_weight = block_max
-
-    body = labels + profile + b"".join(entries) + bytes(heap)
+    lengths = [0 if block is None else len(block) for block in blocks]
+    starts = accumulate(lengths, initial=heap_off)
+    offsets = [start if length else 0
+               for start, length in zip(starts, lengths)]
+    body = b"".join([labels, profile, pack_dict(offsets, lengths),
+                     *(block for block in blocks if block is not None)])
     header = Header(
         kind=kind,
-        fingerprint=_fingerprint_bytes(fingerprint),
+        fingerprint=fingerprint,
         checksum=hashlib.sha256(body).digest(),
-        num_vertices=num_vertices,
+        num_vertices=len(blocks),
         max_weight=max_weight,
         labels_off=labels_off, labels_len=len(labels),
         profile_off=profile_off, profile_len=len(profile),
@@ -144,6 +142,42 @@ def encode_artifact(payload: Dict,
         dead_bytes=0,
     )
     return header.pack() + body
+
+
+def encode_artifact(payload: Dict,
+                    fingerprint: Optional[str] = None) -> bytes:
+    """Encode one index payload as a complete binary artifact."""
+    kind = payload_kind(payload)
+    blocks = []
+    max_weight = 0
+    for pos in range(len(payload["vertices"])):
+        block, block_max = _block_at(payload, kind, pos)
+        blocks.append(block)
+        if block_max > max_weight:
+            max_weight = block_max
+    return _assemble(kind, _fingerprint_bytes(fingerprint),
+                     _labels_blob(payload), _profile_blob(payload),
+                     blocks, max_weight)
+
+
+def _relayout(base: bytes, header: Header, labels: bytes, num_vertices: int,
+              replaced: Dict[int, Optional[bytes]], fingerprint: bytes,
+              max_weight: int) -> bytes:
+    """``base`` laid out afresh, in one pass over ``num_vertices``
+    positions: position ``p`` holds ``replaced[p]`` when given, else the
+    base's live block (none past the base's vertices).  The base's
+    profile blob is kept; its dead bytes are left behind."""
+    offsets, lengths = unpack_dict(base, header.dict_off, header.num_vertices)
+    blocks: List[Optional[bytes]] = [
+        base[offset:offset + length] if length else None
+        for offset, length in zip(offsets, lengths)]
+    blocks += [None] * (num_vertices - header.num_vertices)
+    for pos, block in replaced.items():
+        blocks[pos] = block
+    profile = base[header.profile_off:header.profile_off
+                   + header.profile_len]
+    return _assemble(header.kind, fingerprint, labels, profile, blocks,
+                     max_weight)
 
 
 def _write_bytes_atomic(path: Path, data: bytes) -> None:
@@ -163,55 +197,24 @@ def write_artifact(path, payload: Dict,
                                               fingerprint=fingerprint))
 
 
-def write_delta(base_path, path, payload: Dict,
-                changed: Iterable[object],
-                fingerprint: Optional[str] = None) -> bool:
-    """Copy-on-write re-version of ``base_path`` into ``path``.
+def _extends(labels: bytes, base_labels: bytes) -> bool:
+    """Whether the JSON vertex list ``labels`` strictly extends
+    ``base_labels``: the base's elements, in order, then more.  Both are
+    canonical encodings, so the base's bytes up to its closing bracket,
+    then a top-level separator, are exactly that prefix."""
+    if base_labels == b"[]":
+        return labels != base_labels
+    head = base_labels[:-1]
+    return labels[:len(head)] == head \
+        and labels[len(head):len(head) + 1] == b","
 
-    ``changed`` names the vertex labels whose records may differ from
-    the base artifact (the update batch's affected set); every other
-    record is carried over byte-for-byte, so ``payload`` need hold only
-    the changed vertices' records beside the complete vertex list
-    (``to_payload(only=changed)``) — a full payload writes the same
-    bytes.  Replacement blocks are
-    *appended* to the heap and the superseded offsets rewritten in the
-    dictionary — no unchanged record is re-encoded.  Returns ``False``
-    without writing when a delta does not apply (missing/foreign base,
-    changed vertex set or build profile, kind mismatch); the caller
-    falls back to :func:`write_artifact`.
-    """
-    base_path = Path(base_path)
-    try:
-        base = base_path.read_bytes()
-    except OSError:
-        return False
-    try:
-        header = Header.unpack(base, source=str(base_path))
-    except ArtifactFormatError:
-        return False
-    if header.file_len != len(base):
-        return False  # torn or trailing-garbage base: rewrite fully
-    kind = payload_kind(payload)
-    if kind != header.kind:
-        return False
-    labels = _labels_blob(payload)
-    if labels != base[header.labels_off:
-                      header.labels_off + header.labels_len]:
-        return False  # vertex set changed: every position shifted
-    profile = _profile_blob(payload)
-    if profile and profile != base[header.profile_off:
-                                   header.profile_off
-                                   + header.profile_len]:
-        # A *different* profile cannot be patched in place (the region
-        # tiling is fixed); a payload with *no* profile keeps the
-        # base's — the delta inherits the original build's provenance.
-        return False
 
-    position = {v: i for i, v in enumerate(payload["vertices"])}
-    changed_positions = sorted({position[v] for v in changed
-                                if v in position})
-
-    out = bytearray(base[:header.file_len])
+def _patched(base: bytes, header: Header, payload: Dict, kind: int,
+             changed_positions: List[int], fingerprint: bytes) -> bytearray:
+    """Copy-on-write over the base's own vertex list: append the changed
+    positions' new blocks, patch their dictionary entries, account the
+    superseded ones as dead bytes."""
+    out = bytearray(base)
     appended = bytearray()
     dead = header.dead_bytes
     max_weight = header.max_weight
@@ -240,64 +243,109 @@ def write_delta(base_path, path, payload: Dict,
             max_weight = block_max
 
     out += appended
-    new_header = Header(
-        kind=kind,
-        fingerprint=_fingerprint_bytes(fingerprint),
-        checksum=b"\0" * 32,
-        num_vertices=header.num_vertices,
-        max_weight=max_weight,
-        labels_off=header.labels_off, labels_len=header.labels_len,
-        profile_off=header.profile_off, profile_len=header.profile_len,
-        dict_off=header.dict_off, heap_off=header.heap_off,
-        file_len=len(out), dead_bytes=dead,
-    )
-    checksum = hashlib.sha256(bytes(out[HEADER_SIZE:])).digest()
-    new_header = dataclasses.replace(new_header, checksum=checksum)
-    out[:HEADER_SIZE] = new_header.pack()
+    checksum = hashlib.sha256(memoryview(out)[HEADER_SIZE:]).digest()
+    out[:HEADER_SIZE] = dataclasses.replace(
+        header, fingerprint=fingerprint, checksum=checksum,
+        max_weight=max_weight, file_len=len(out), dead_bytes=dead).pack()
+    return out
+
+
+def write_delta(base_path, path, payload: Dict,
+                changed: Iterable[object],
+                fingerprint: Optional[str] = None) -> bool:
+    """Re-version ``base_path`` into ``path`` from the changed records.
+
+    ``changed`` names the vertex labels whose records may differ from
+    the base artifact (the update batch's affected set); every other
+    record is carried over byte-for-byte, so ``payload`` need hold only
+    the changed vertices' records beside the complete vertex list
+    (``to_payload(only=changed)``) — a full payload writes the same
+    bytes.  No unchanged record is re-encoded.
+
+    Over the base's own vertex list the write is copy-on-write:
+    replacement blocks are *appended* to the heap and the superseded
+    offsets rewritten in the dictionary.  A vertex list that *extends*
+    the base's — an edge batch only ever appends vertices, so no
+    position shifts — grows the dictionary, so the heap is relaid in
+    one pass instead: unchanged blocks copied from the base, changed
+    ones (and every appended vertex's) encoded from ``payload``.  That
+    file's body equals :func:`encode_artifact` of the full payload with
+    the base's build profile, and it has no dead bytes.
+
+    Returns ``False`` without writing when a delta does not apply
+    (missing/foreign/torn base, a reordered, shrunk or relabelled
+    vertex list, a different build profile, kind mismatch); the caller
+    falls back to :func:`write_artifact`.
+    """
+    base_path = Path(base_path)
+    try:
+        base = base_path.read_bytes()
+    except OSError:
+        return False
+    try:
+        header = Header.unpack(base, source=str(base_path))
+    except ArtifactFormatError:
+        return False
+    if header.file_len != len(base):
+        return False  # torn or trailing-garbage base: rewrite fully
+    kind = payload_kind(payload)
+    if kind != header.kind:
+        return False
+    labels = _labels_blob(payload)
+    base_labels = base[header.labels_off:
+                       header.labels_off + header.labels_len]
+    grown = labels != base_labels
+    if grown and not _extends(labels, base_labels):
+        return False  # positions shifted: nothing to carry over
+    profile = _profile_blob(payload)
+    if profile and profile != base[header.profile_off:
+                                   header.profile_off
+                                   + header.profile_len]:
+        # A *different* profile cannot be carried (the delta keeps the
+        # base's region); a payload with *no* profile keeps the
+        # base's — the delta inherits the original build's provenance.
+        return False
+
+    vertices = payload["vertices"]
+    position = {v: i for i, v in enumerate(vertices)}
+    changed_positions = sorted({position[v] for v in changed
+                                if v in position})
+    if grown:
+        replaced = {}
+        max_weight = header.max_weight
+        appended = range(header.num_vertices, len(vertices))
+        for pos in sorted(set(changed_positions).union(appended)):
+            replaced[pos], block_max = _block_at(payload, kind, pos)
+            max_weight = max(max_weight, block_max)
+        out = _relayout(base, header, labels, len(vertices), replaced,
+                        _fingerprint_bytes(fingerprint), max_weight)
+    else:
+        out = _patched(base, header, payload, kind, changed_positions,
+                       _fingerprint_bytes(fingerprint))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_bytes_atomic(path, bytes(out))
+    _write_bytes_atomic(path, out)
     return True
 
 
 def compact_artifact(path) -> int:
     """Rewrite one artifact's heap without its dead bytes.
 
-    Live records are laid out contiguously in position order and every
-    dictionary entry rewritten; returns the number of bytes reclaimed
-    (0 when the artifact had no dead bytes).
+    The relayout a grown delta uses, with no replacements: live records
+    laid out contiguously in position order and every dictionary entry
+    rewritten.  Returns the number of bytes reclaimed (0 when the
+    artifact had no dead bytes).
     """
     path = Path(path)
     data = path.read_bytes()
     header = Header.unpack(data, source=str(path))
     if header.dead_bytes == 0:
         return 0
-    entries = []
-    heap = bytearray()
-    for pos in range(header.num_vertices):
-        old_off, old_len = unpack_dict_entry(
-            data, header.dict_off + pos * DICT_ENTRY_SIZE)
-        if old_len == 0:
-            entries.append(pack_dict_entry(0, 0))
-            continue
-        entries.append(pack_dict_entry(header.heap_off + len(heap),
-                                       old_len))
-        heap += data[old_off:old_off + old_len]
-    body = (data[header.labels_off:header.dict_off]
-            + b"".join(entries) + bytes(heap))
-    new_header = Header(
-        kind=header.kind,
-        fingerprint=header.fingerprint,
-        checksum=hashlib.sha256(body).digest(),
-        num_vertices=header.num_vertices,
-        max_weight=header.max_weight,
-        labels_off=header.labels_off, labels_len=header.labels_len,
-        profile_off=header.profile_off, profile_len=header.profile_len,
-        dict_off=header.dict_off, heap_off=header.heap_off,
-        file_len=HEADER_SIZE + len(body), dead_bytes=0,
-    )
-    _write_bytes_atomic(path, new_header.pack() + body)
-    return header.file_len - new_header.file_len
+    labels = data[header.labels_off:header.labels_off + header.labels_len]
+    out = _relayout(data, header, labels, header.num_vertices, {},
+                    header.fingerprint, header.max_weight)
+    _write_bytes_atomic(path, out)
+    return header.file_len - len(out)
 
 
 def profile_payload_from_blob(blob: bytes,

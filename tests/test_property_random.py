@@ -17,7 +17,11 @@ serving surface the system has grown:
   successor indexes (which share every unaffected record with their
   predecessor) encode byte-for-byte like a from-scratch build — their
   patched score postings included — and the predecessor snapshot still
-  answers bit-identically.
+  answers bit-identically,
+* the *stored* versions those batches write (vertex-attaching ones
+  included, which re-version as relaid deltas): each verifies its
+  checksum, warm-starts like a scratch build, and replicates to a
+  follower that warm-starts the same.
 
 Sweeps include the adversarial corners: ``r > n`` (zero-fill past the
 scored vertices), ``k`` above the maximum trussness (all-zero
@@ -36,8 +40,11 @@ from repro.core.gct import assemble_from_forest
 from repro.core.online import online_search
 from repro.datasets.synthetic import add_planted_cliques, erdos_renyi
 from repro.engine import QueryEngine
+from repro.replication import replicate_store
+from repro.service import DiversityService, IndexStore
 from repro.service.snapshot import Snapshot
 from repro.service.store import graph_fingerprint
+from repro.storage import ArtifactReader
 from repro.service.updates import apply_batch
 from repro.cluster import ShardedCluster
 from repro.server import ServerClient
@@ -449,3 +456,71 @@ class TestIncrementalStoreKey:
         assert len(held) > 10, name
         for snapshot, before in held:
             assert seen(snapshot) == before, (name, snapshot.version)
+
+
+class TestStoredGrowingVersions:
+    """A vertex-attaching batch re-versions the stored indexes as a
+    delta (a relaid heap), like a same-set batch; every stored version
+    must still verify, warm-start and replicate like a scratch build."""
+
+    @staticmethod
+    def _stored_batches(graph, seed):
+        """Two rounds of seeded batches: each attaches vertices once,
+        then applies same-set batches on top of the grown version."""
+        return _batches(graph, random.Random(seed), rounds=2)
+
+    @staticmethod
+    def _verify(store, snapshot):
+        version = store.current(snapshot.graph_view, key=snapshot.key)
+        for name in ("tsd", "gct"):
+            assert version.artifacts[name].endswith(f"{name}.bin")
+            with ArtifactReader(store.root / version.artifacts[name]) as r:
+                r.verify_checksum()
+        return version
+
+    def test_warm_restarts_rank_like_a_scratch_build(self, case, tmp_path):
+        """After every batch the stored version verifies, and a warm
+        start on the same content rebuilt from scratch answers like
+        ``Snapshot.build``."""
+        name, graph, _ = case
+        store = IndexStore(tmp_path / "store")
+        service = DiversityService.start(graph, store=store)
+        grew = 0
+        for batch in self._stored_batches(graph, f"stored-{name}"):
+            before = service.snapshot.num_vertices
+            service.apply_updates(batch)
+            grew += service.snapshot.num_vertices > before
+            self._verify(store, service.snapshot)
+            rebuilt = _rebuilt(service.snapshot.graph_view)
+            warm = DiversityService.warm(rebuilt, IndexStore(store.root))
+            cold = Snapshot.build(rebuilt)
+            for k, r in _sweep(rebuilt):
+                assert _canonical(warm.top_r(k, r, False)) == \
+                    _canonical(cold.top_r(k, r, False)), (name, batch, k, r)
+        assert grew == 2, name
+
+    def test_followers_replicate_grown_versions(self, case, tmp_path):
+        """Synced after every batch, a follower verifies and warm-starts
+        each head.  A grown version ships whole (its dictionary moved);
+        a same-set version ships as byte ranges over its local base."""
+        name, graph, _ = case
+        store = IndexStore(tmp_path / "store")
+        follower = tmp_path / "follower"
+        service = DiversityService.start(graph, store=store)
+        replicate_store(store.root, follower)
+        for batch in self._stored_batches(graph, f"replica-{name}"):
+            before = service.snapshot.num_vertices
+            service.apply_updates(batch)
+            grown = service.snapshot.num_vertices > before
+            report = replicate_store(store.root, follower)
+            assert report.files_delta == (0 if grown else 2), (name, batch)
+            replica = IndexStore(follower)
+            version = self._verify(replica, service.snapshot)
+            assert version.version == service.snapshot.version
+            view = service.snapshot.graph_view
+            loaded = replica.load(_rebuilt(view))
+            for k, r in _sweep(view):
+                served = _canonical(service.top_r(k, r, False))
+                for index in (loaded.tsd, loaded.gct):
+                    assert _canonical(index.top_r(k, r, False)) == served, \
+                        (name, k, r)

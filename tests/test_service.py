@@ -693,11 +693,39 @@ def work_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def write_counts(monkeypatch):
+    """Counts whole-index writes: full ``write_artifact`` encodes in the
+    store and ``to_payload`` calls without ``only=`` (every record in
+    payload form)."""
+    import repro.service.store as store_module
+    counts = {"write_artifact": 0, "full_payload": 0}
+    real_write = store_module.write_artifact
+
+    def write_artifact(*args, **kwargs):
+        counts["write_artifact"] += 1
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(store_module, "write_artifact", write_artifact)
+    for cls in (TSDIndex, GCTIndex):
+        def to_payload(index, include_profile=True, only=None,
+                       _real=cls.to_payload):
+            if only is None:
+                counts["full_payload"] += 1
+            return _real(index, include_profile, only=only)
+
+        monkeypatch.setattr(cls, "to_payload", to_payload)
+    return counts
+
+
+STORED_ACKS = pytest.mark.parametrize("batch", [
+    [delete("b2", "b3"), insert("a0", "b0")],
+    [insert("b0", "newcomer"), insert("newcomer", "other")],
+], ids=["same-vertex-set", "growing"])
+
+
 class TestWorkCounts:
-    @pytest.mark.parametrize("batch", [
-        [delete("b2", "b3"), insert("a0", "b0")],
-        [insert("b0", "newcomer"), insert("newcomer", "other")],
-    ], ids=["same-vertex-set", "growing"])
+    @STORED_ACKS
     def test_stored_ack_copies_nothing_and_hashes_no_graph(
             self, tmp_path, work_counts, batch):
         service = DiversityService.start(_two_cliques(),
@@ -708,6 +736,21 @@ class TestWorkCounts:
         assert service.snapshot.version == 2
         assert service.snapshot.key == service.snapshot.content_key == \
             graph_fingerprint(service.snapshot.graph)
+
+    @STORED_ACKS
+    def test_stored_ack_writes_deltas_only(self, tmp_path, write_counts,
+                                           batch):
+        """A batch that attaches vertices re-versions ``tsd``/``gct`` as
+        deltas too: no full artifact encode, no full payload."""
+        service = DiversityService.start(_two_cliques(),
+                                         store=IndexStore(tmp_path / "s"))
+        write_counts.update(write_artifact=0, full_payload=0)
+        service.apply_updates(batch)
+        assert write_counts == {"write_artifact": 0, "full_payload": 0}
+        cold = Snapshot.build(service.snapshot.graph)
+        for k, r in GRID:
+            assert _ranked(service.top_r(k, r)) == \
+                _ranked(cold.top_r(k, r)), (k, r)
 
     def test_start_hashes_the_graph_once_cold_and_warm(
             self, tmp_path, work_counts):

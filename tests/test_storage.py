@@ -13,14 +13,17 @@ Four contracts under test:
   evicts beyond its cache budget, and stays correct when many threads
   hammer eviction and re-query concurrently.
 * **Delta + compaction.**  ``write_delta`` supersedes only the changed
-  records (dead bytes accounted), ``compact_artifact`` reclaims them,
-  and the store's ``convert`` migrates legacy JSON lineages to ``.bin``
-  in place — all answer-preserving.
+  records (dead bytes accounted), relays the heap when the vertex list
+  grew by appends (a full encode's bytes, no dead ones) and refuses
+  any other vertex list, ``compact_artifact`` reclaims dead bytes, and
+  the store's ``convert`` migrates legacy JSON lineages to ``.bin`` in
+  place — all answer-preserving.
 * **Restricted delta payloads.**  The store hands ``write_delta`` only
   the changed vertices' records; the bytes equal a delta over the full
   payload, and every refused delta still ends in a complete artifact.
 """
 
+import dataclasses
 import json
 import random
 import re
@@ -37,6 +40,7 @@ from repro.service.snapshot import SCORES_FORMAT
 from repro.storage import (
     HEADER_SIZE,
     ArtifactReader,
+    Header,
     compact_artifact,
     encode_artifact,
     read_payload,
@@ -343,6 +347,23 @@ class TestScanWorkCounts:
 # ----------------------------------------------------------------------
 # Delta writes and page compaction
 # ----------------------------------------------------------------------
+def assert_equals_a_full_encode(written: bytes, full: bytes) -> None:
+    """``written`` is ``full`` but for the header's ``max_weight``, which
+    a delta keeps as an upper bound (never below the exact one)."""
+    assert written[HEADER_SIZE:] == full[HEADER_SIZE:]
+    got, want = Header.unpack(written), Header.unpack(full)
+    assert got.max_weight >= want.max_weight
+    assert dataclasses.replace(got, max_weight=want.max_weight) == want
+    assert got.dead_bytes == 0
+
+
+def relabelled(graph, mapping):
+    """``graph`` with the vertices in ``mapping`` renamed, in place."""
+    return Graph(vertices=[mapping.get(v, v) for v in graph.vertices()],
+                 edges=[(mapping.get(u, u), mapping.get(v, v))
+                        for u, v in graph.edges()])
+
+
 class TestDeltaAndCompact:
     def _payloads(self):
         """Two same-vertex-set payloads differing in a few records."""
@@ -383,16 +404,96 @@ class TestDeltaAndCompact:
         assert read_payload(out) == p2
         assert compact_artifact(out) == 0  # idempotent
 
-    def test_delta_refuses_changed_vertex_set(self, tmp_path):
+    def test_delta_accepts_an_appended_vertex_list(self, tmp_path):
+        """g3's labels 0..20 extend the base's 0..19: an edge batch's
+        vertex append.  The delta relays the heap out — no dead bytes."""
         p1, _, _ = self._payloads()
         g3 = erdos_renyi(21, 0.3, seed=12)
         p3 = TSDIndex.build(g3).to_payload(include_profile=False)
         base = tmp_path / "v1.bin"
         write_artifact(base, p1)
-        assert write_delta(base, tmp_path / "v2.bin", p3,
-                           list(g3.vertices())) is False
+        out = tmp_path / "v2.bin"
+        assert write_delta(base, out, p3, list(g3.vertices())) is True
+        assert read_payload(out) == p3
+        assert_equals_a_full_encode(out.read_bytes(), encode_artifact(p3))
+        assert read_payload(base) == p1
 
-    def test_delta_keeps_base_build_profile(self, tmp_path):
+    def test_appended_vertices_are_encoded_without_being_named(
+            self, tmp_path):
+        """Appended positions come from the payload whether or not
+        ``changed`` names them: ``new`` gets its record, ``loner`` (no
+        record) a ``(0, 0)`` entry."""
+        g1 = erdos_renyi(20, 0.35, seed=11)
+        g2 = g1.copy()
+        g2.add_edge(0, "new")
+        g2.add_vertex("loner")
+        p1 = TSDIndex.build(g1).to_payload(include_profile=False)
+        p2 = TSDIndex.build(g2).to_payload(include_profile=False)
+        base, out = tmp_path / "v1.bin", tmp_path / "v2.bin"
+        write_artifact(base, p1)
+        assert write_delta(base, out, p2, [0]) is True
+        assert_equals_a_full_encode(out.read_bytes(), encode_artifact(p2))
+        assert read_payload(out) == p2
+
+    def test_grown_delta_over_a_delta_chain_drops_its_dead_bytes(
+            self, tmp_path):
+        p1, p2, vertices = self._payloads()
+        base, mid, out = (tmp_path / f"v{i}.bin" for i in (1, 2, 3))
+        write_artifact(base, p1)
+        assert write_delta(base, mid, p2, vertices)
+        grown = dict(p2, vertices=p2["vertices"] + ["loner"])
+        assert write_delta(mid, out, grown, [vertices[0]]) is True
+        assert_equals_a_full_encode(out.read_bytes(), encode_artifact(grown))
+
+    @pytest.mark.parametrize("shape", ["reordered", "shrunk", "relabelled",
+                                       "relabelled-and-grown"])
+    def test_delta_refuses_a_vertex_list_it_does_not_extend(self, tmp_path,
+                                                            shape):
+        g1 = erdos_renyi(20, 0.35, seed=11)
+        vertices = list(g1.vertices())
+        if shape == "reordered":
+            g = Graph(vertices=vertices[::-1], edges=list(g1.edges()))
+        elif shape == "shrunk":
+            g = g1.copy()
+            g.remove_vertex(vertices[-1])
+        elif shape == "relabelled":
+            g = relabelled(g1, {vertices[5]: "five"})
+        else:
+            g = relabelled(g1, {vertices[-1]: "last"})
+            g.add_edge("last", "appended")
+        base, out = tmp_path / "v1.bin", tmp_path / "v2.bin"
+        write_artifact(base, TSDIndex.build(g1).to_payload())
+        payload = TSDIndex.build(g).to_payload(include_profile=False)
+        assert write_delta(base, out, payload, list(g.vertices())) is False
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grown", [False, True], ids=["same", "grown"])
+    def test_delta_refuses_a_kind_mismatch(self, tmp_path, grown):
+        g = erdos_renyi(20, 0.35, seed=11)
+        base, out = tmp_path / "v1.bin", tmp_path / "v2.bin"
+        write_artifact(base, TSDIndex.build(g).to_payload())
+        if grown:
+            g.add_edge(0, "appended")
+        payload = GCTIndex.build(g).to_payload(include_profile=False)
+        assert write_delta(base, out, payload, list(g.vertices())) is False
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grown", [False, True], ids=["same", "grown"])
+    def test_delta_refuses_a_different_build_profile(self, tmp_path, grown):
+        g = erdos_renyi(20, 0.35, seed=11)
+        base, out = tmp_path / "v1.bin", tmp_path / "v2.bin"
+        full = TSDIndex.build(g).to_payload()
+        write_artifact(base, full)
+        if grown:
+            g.add_edge(0, "appended")
+        payload = TSDIndex.build(g).to_payload(include_profile=False)
+        payload["build_profile"] = dict(full["build_profile"],
+                                        extraction_seconds=-1.0)
+        assert write_delta(base, out, payload, list(g.vertices())) is False
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grown", [False, True], ids=["same", "grown"])
+    def test_delta_keeps_base_build_profile(self, tmp_path, grown):
         """A repaired index carries no build profile; the delta file
         inherits the base's (the original build's provenance)."""
         g = erdos_renyi(15, 0.4, seed=13)
@@ -400,15 +501,19 @@ class TestDeltaAndCompact:
         assert "build_profile" in full
         base = tmp_path / "v1.bin"
         write_artifact(base, full)
-        stripped = dict(full)
-        del stripped["build_profile"]
+        if grown:
+            g.add_edge(0, "appended")
+        stripped = TSDIndex.build(g).to_payload(include_profile=False)
         out = tmp_path / "v2.bin"
         assert write_delta(base, out, stripped, list(g.vertices()))
         assert read_payload(out)["build_profile"] \
             == full["build_profile"]
 
-    def test_delta_refuses_missing_or_torn_base(self, tmp_path):
+    @pytest.mark.parametrize("grown", [False, True], ids=["same", "grown"])
+    def test_delta_refuses_missing_or_torn_base(self, tmp_path, grown):
         p1, p2, vertices = self._payloads()
+        if grown:
+            p2 = dict(p2, vertices=p2["vertices"] + ["loner"])
         assert write_delta(tmp_path / "absent.bin", tmp_path / "v2.bin",
                            p2, vertices) is False
         base = tmp_path / "v1.bin"
@@ -416,6 +521,7 @@ class TestDeltaAndCompact:
         base.write_bytes(base.read_bytes()[:-10])  # torn
         assert write_delta(base, tmp_path / "v2.bin", p2,
                            vertices) is False
+        assert not (tmp_path / "v2.bin").exists()
 
 
 # ----------------------------------------------------------------------
@@ -588,18 +694,63 @@ class TestRestrictedDeltaWrites:
                 assert all(part[section][key] == full[section][key]
                            for key in part[section])
 
-    def test_changed_vertex_set_falls_back_to_a_full_artifact(self, graph,
-                                                              tmp_path):
+    def test_growing_batch_writes_a_delta_equal_to_a_full_encode(
+            self, graph, tmp_path):
+        """A batch that attaches a vertex re-versions as a delta: the
+        grown file is a full encode of the payload with the base's build
+        profile (header equal but for the ``max_weight`` bound), with no
+        dead bytes — and serves a later same-set delta."""
         from repro.service import DiversityService
         from repro.service.store import IndexStore
         store = IndexStore(tmp_path)
         service = DiversityService.start(graph, store=store)
+        before = self._current(service)
         anchor = next(iter(graph.vertices()))
         service.apply_updates([("insert", anchor, "newcomer")])
         after = self._current(service)
         for name, index in self._indexes(service):
-            assert (store.root / after.artifacts[name]).read_bytes() == \
-                encode_artifact(index.to_payload(), fingerprint=after.key)
+            base = read_payload(store.root / before.artifacts[name])
+            full = index.to_payload()
+            if "build_profile" in base:
+                full["build_profile"] = base["build_profile"]
+            assert_equals_a_full_encode(
+                (store.root / after.artifacts[name]).read_bytes(),
+                encode_artifact(full, fingerprint=after.key))
+        # Edges among the original vertices are untouched by the append.
+        service.apply_updates(self._batch(graph, random.Random(47)))
+        for name, index in self._indexes(service):
+            path = store.root / self._current(service).artifacts[name]
+            with ArtifactReader(path) as r:
+                assert r.stats()["dead_bytes"] > 0  # same-set: patched
+                r.verify_checksum()
+            stored = read_payload(path)
+            stored.pop("build_profile", None)
+            assert stored == index.to_payload()
+
+    @pytest.mark.parametrize("shape", ["reordered", "shrunk", "relabelled"])
+    def test_refused_delta_writes_a_complete_artifact(self, graph, tmp_path,
+                                                      shape):
+        """A vertex list the base's does not prefix (no edge batch makes
+        one) is refused by ``write_delta``; ``put`` then writes the full
+        artifact."""
+        from repro.service.store import IndexStore
+        store = IndexStore(tmp_path)
+        first = store.put(graph, tsd=TSDIndex.build(graph),
+                          gct=GCTIndex.build(graph))
+        vertices = list(graph.vertices())
+        if shape == "reordered":
+            other = Graph(vertices=vertices[::-1], edges=list(graph.edges()))
+        elif shape == "shrunk":
+            other = graph.copy()
+            other.remove_vertex(vertices[-1])
+        else:
+            other = relabelled(graph, {vertices[3]: "three"})
+        tsd, gct = TSDIndex.build(other), GCTIndex.build(other)
+        version = store.put(other, tsd=tsd, gct=gct, previous=first,
+                            changed_vertices=list(other.vertices()))
+        for name, index in (("tsd", tsd), ("gct", gct)):
+            assert (store.root / version.artifacts[name]).read_bytes() == \
+                encode_artifact(index.to_payload(), fingerprint=version.key)
 
     def test_missing_base_falls_back_to_a_full_artifact(self, graph,
                                                         tmp_path):
