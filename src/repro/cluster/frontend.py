@@ -3,12 +3,15 @@
 One address for a fleet of worker processes.  The frontend terminates
 client HTTP, looks the graph name up in the cluster's
 :class:`~repro.cluster.shardmap.ShardMap`, and relays the request to
-the owning worker over a pooled keep-alive
+the owning worker over the worker handle's one pooled keep-alive
 :class:`~repro.server.client.ServerClient` — status and body are
 passed through **byte-for-byte**, so a routed answer is exactly what a
 single-process :class:`~repro.server.router.DiversityRouter` serving
-that graph would have returned.  Fleet-wide endpoints fan out to every
-live worker and merge the JSON:
+that graph would have returned.  Both hops are framed by
+:mod:`repro.server.wire`: the client's head is parsed without
+:mod:`email`, the worker's answer comes back over a raw socket, and
+the relayed response leaves in one send.  Fleet-wide endpoints fan
+out to every live worker and merge the JSON:
 
 =========  =============================  ==============================
 Method     Path                           Behaviour
@@ -35,57 +38,31 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import InvalidParameterError, ServerError
+from repro.server.wire import WireRequestHandler
 
 #: Fleet-wide fan-out endpoints (everything else under /graphs routes).
 _FANOUT_GET = ("healthz", "stats", "graphs", "cluster")
 
 
-class ClusterRequestHandler(BaseHTTPRequestHandler):
+class ClusterRequestHandler(WireRequestHandler):
     """Routes one request: proxy to the owning worker, or fan out."""
 
     server_version = "repro-cluster/1.0"
-    protocol_version = "HTTP/1.1"
-    # See DiversityRequestHandler: keep-alive + Nagle = ~40ms stalls.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not getattr(self.server, "quiet", True):  # pragma: no cover
-            super().log_message(format, *args)
 
     @property
     def cluster(self):
         return self.server.cluster
 
-    # -- plumbing (mirrors the worker handler's keep-alive care) -------
+    # -- plumbing ------------------------------------------------------
     def _respond(self, status: int, payload: Dict[str, object],
                  headers: Optional[Dict[str, str]] = None) -> None:
-        self._relay(status, json.dumps(payload).encode("utf-8"),
-                    headers=headers)
-
-    def _relay(self, status: int, body: bytes,
-               headers: Optional[Dict[str, str]] = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _drain_body(self) -> bytes:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            self.close_connection = True
-            raise InvalidParameterError(
-                f"bad Content-Length header: "
-                f"{self.headers.get('Content-Length')!r}") from None
-        return self.rfile.read(length) if length > 0 else b""
+        self._send(status, json.dumps(payload).encode("utf-8"),
+                   headers=headers)
 
     # -- dispatch ------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -177,7 +154,7 @@ class ClusterRequestHandler(BaseHTTPRequestHandler):
                 pass  # non-JSON/odd ack: journal untagged (never folds
                 #       under followers; still replays correctly)
             cluster.note_update(name, body, version=version, key=key)
-        self._relay(status, payload)
+        self._send(status, payload)
 
     def _fast_retry(self, method: str, slot: int, body: bytes,
                     headers: Dict[str, str]

@@ -13,8 +13,12 @@ what turns the paper's indexes into something remote clients can hit:
   (``GET /graphs/<name>/top_r``, ``POST /graphs/<name>/updates``,
   ``POST /compact``, ``/healthz``, ``/stats``, …) exposed on the CLI
   as ``repro serve --http PORT``;
-* :mod:`repro.server.client` — :class:`ServerClient`, the urllib
-  wrapper tests and examples drive the API with.
+* :mod:`repro.server.client` — :class:`ServerClient`, the pooled
+  keep-alive client tests, examples and the cluster frontend drive the
+  API with;
+* :mod:`repro.server.wire` — the HTTP/1.1 framing all three share: a
+  head reader without :mod:`email`, one-send responses, and the
+  client's raw socket transport.
 
 HTTP answers uphold the canonical ranking contract: a ``top_r``
 response's vertices and scores are identical to the in-process

@@ -3,13 +3,13 @@
 Tests, examples, operators — and the cluster frontend's proxy hot path
 — talk to a running :class:`~repro.server.http.DiversityHTTPServer`
 through this wrapper.  The transport is a small pool of *persistent*
-:class:`http.client.HTTPConnection` objects: the server speaks
-HTTP/1.1 with Content-Length on every response, so one socket carries
-many requests (urllib, the previous transport, opened a fresh
-connection per request — fatal for a proxy that fronts every routed
-query with one upstream hop).  JSON in and out, HTTP error statuses
-re-raised as :class:`~repro.errors.ServerError` with the server's
-message attached.
+raw sockets framed by :mod:`repro.server.wire`: each request leaves in
+one ``sendall``, and the response is read off the same socket by the
+head reader the servers use, so one socket carries many requests (a
+proxy that fronts every routed query with one upstream hop cannot
+afford a TCP handshake, or :mod:`http.client`'s per-call object
+layers, on each).  JSON in and out, HTTP error statuses re-raised as
+:class:`~repro.errors.ServerError` with the server's message attached.
 
 Concurrency: the pool hands each in-flight request its own connection
 (created on demand when the pool is empty), so one client instance may
@@ -37,7 +37,6 @@ Examples
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import socket
 import threading
@@ -45,19 +44,18 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlencode, urlsplit
 
-from repro.errors import ServerError
+from repro.errors import InvalidParameterError, ServerError
+from repro.server import wire
 
 #: An update over the wire: ``(op, u, v)`` with op insert/delete.
 WireUpdate = Tuple[str, object, object]
 
-#: Connection failures that mean "the socket went stale under us" when
-#: they surface on a *reused* connection: the server may close an idle
-#: keep-alive socket at any time, so one retry on a fresh connection is
-#: the standard (and safe — nothing was processed) recovery.
-_STALE_ERRORS = (http.client.BadStatusLine, http.client.CannotSendRequest,
-                 http.client.ResponseNotReady, http.client.IncompleteRead,
-                 ConnectionResetError, ConnectionAbortedError,
-                 BrokenPipeError)
+#: Connection failures: socket errors (timeouts included) and bytes the
+#: wire reader cannot frame.  On a *reused* connection they usually
+#: mean the socket went stale under us — the server may close an idle
+#: keep-alive socket at any time — so one retry on a fresh connection
+#: is the standard recovery where re-sending is safe.
+_TRANSPORT_ERRORS = (OSError, wire.WireError)
 
 #: Statuses worth another idempotent attempt: the cluster frontend
 #: answers 503 (with Retry-After) while a dead worker respawns, and a
@@ -115,6 +113,8 @@ class ServerClient:
                                  "only http:// servers exist here")
         self._host = parts.hostname or "127.0.0.1"
         self._port = parts.port or 80
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        self._host_header = f"{host}:{self._port}"
         # A path in base_url (server behind a prefixed reverse proxy)
         # must survive the transport: requests go to <prefix><path>.
         self._prefix = parts.path.rstrip("/")
@@ -122,7 +122,7 @@ class ServerClient:
         self._retries = max(0, int(retries))
         self._retry_backoff = retry_backoff
         self._deadline = deadline
-        self._pool: List[http.client.HTTPConnection] = []
+        self._pool: List[wire.Connection] = []
         self._pool_lock = threading.Lock()
         #: Sockets this client has opened over its lifetime.  With
         #: keep-alive working, a single-threaded caller stays at 1 no
@@ -133,16 +133,15 @@ class ServerClient:
     # ------------------------------------------------------------------
     # Connection pool
     # ------------------------------------------------------------------
-    def _acquire(self) -> Tuple[http.client.HTTPConnection, bool]:
-        """A pooled connection and whether it has served before."""
+    def _acquire(self) -> Optional[wire.Connection]:
+        """A pooled connection, or ``None``: the caller opens one."""
         with self._pool_lock:
             if self._pool:
-                return self._pool.pop(), True
+                return self._pool.pop()
             self.connections_opened += 1
-        return http.client.HTTPConnection(
-            self._host, self._port, timeout=self._timeout), False
+        return None
 
-    def _release(self, connection: http.client.HTTPConnection) -> None:
+    def _release(self, connection: wire.Connection) -> None:
         with self._pool_lock:
             self._pool.append(connection)
 
@@ -180,18 +179,27 @@ class ServerClient:
         retried — the server may be mid-way through applying it, and a
         re-send could apply an update batch twice.
         """
-        path = self._prefix + path
+        target = self._prefix + path
+        if len(target.split()) != 1:  # whitespace would split the line
+            raise InvalidParameterError(
+                f"request path {target!r} holds whitespace")
+        data = wire.encode_request(method, target, self._host_header,
+                                   headers, body)
         for attempt in (0, 1):
-            connection, reused = self._acquire()
+            connection = self._acquire()
+            reused = connection is not None
             phase = "send"
             try:
-                connection.request(method, path, body=body,
-                                   headers=headers or {})
+                if connection is None:
+                    connection = wire.Connection.open(
+                        self._host, self._port, self._timeout)
+                connection.sock.sendall(data)
                 phase = "read"
-                response = connection.getresponse()
-                payload = response.read()
-            except _STALE_ERRORS + (socket.timeout, OSError) as exc:
-                connection.close()
+                status, payload, will_close = wire.read_response(
+                    connection, method)
+            except _TRANSPORT_ERRORS as exc:
+                if connection is not None:
+                    connection.close()
                 retry_safe = phase == "send" or method in ("GET", "HEAD")
                 timed_out = isinstance(exc, socket.timeout)
                 if attempt == 0 and reused and retry_safe \
@@ -199,11 +207,11 @@ class ServerClient:
                     continue  # retry once on a fresh socket
                 raise ServerError(
                     0, f"cannot reach {self._base}: {exc}") from exc
-            if response.will_close:
+            if will_close:
                 connection.close()
             else:
                 self._release(connection)
-            return response.status, payload
+            return status, payload
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _request(self, method: str, path: str,

@@ -1,9 +1,9 @@
 """Stdlib-only HTTP front over a :class:`DiversityRouter`.
 
 The serve-many-queries regime the paper motivates needs a network
-boundary; this module provides one with nothing beyond
-:mod:`http.server` — a :class:`ThreadingHTTPServer` whose handler maps
-a small JSON API onto the router:
+boundary; this module provides one with nothing beyond the stdlib — a
+:class:`ThreadingHTTPServer` whose handler (framed by
+:mod:`repro.server.wire`) maps a small JSON API onto the router:
 
 =========  =============================  =====================================
 Method     Path                           Meaning
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
@@ -65,6 +65,7 @@ from repro.errors import (
 )
 from repro.core.results import SearchResult
 from repro.server.router import DiversityRouter
+from repro.server.wire import WireRequestHandler
 
 
 def parse_vertex(raw: str) -> object:
@@ -121,58 +122,30 @@ def _coerce_updates(body: object) -> List[Tuple[str, object, object]]:
             raise InvalidParameterError(
                 f"bad update item {item!r}: expected [op, u, v]")
         op, u, v = item
-        updates.append((op,
-                        tuple(u) if isinstance(u, list) else u,
-                        tuple(v) if isinstance(v, list) else v))
+        update = (op, tuple(u) if isinstance(u, list) else u,
+                  tuple(v) if isinstance(v, list) else v)
+        try:
+            hash(update)
+        except TypeError:
+            raise InvalidParameterError(
+                f"bad update item {item!r}: vertex labels must be "
+                f"scalars or flat lists") from None
+        updates.append(update)
     return updates
 
 
-class DiversityRequestHandler(BaseHTTPRequestHandler):
+class DiversityRequestHandler(WireRequestHandler):
     """Maps the JSON API onto the owning server's router."""
 
     server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    # Keep-alive exposes the Nagle + delayed-ACK stall: a response is
-    # two small writes (header buffer, body), and with the connection
-    # staying open nothing forces the second packet out — each request
-    # pays a ~40ms ACK timeout.  TCP_NODELAY removes it.
-    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not getattr(self.server, "quiet", True):  # pragma: no cover
-            super().log_message(format, *args)
-
     @property
     def router(self) -> DiversityRouter:
         return self.server.router
 
     def _respond(self, status: int, payload: Dict[str, object]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _drain_body(self) -> bytes:
-        """Read the declared request body unconditionally.
-
-        Keep-alive (HTTP/1.1) requires it: a body left unread in the
-        socket becomes the *next* request's request line, desyncing
-        every later exchange on the connection — so draining cannot be
-        left to the routes that happen to want a body.
-        """
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            # An undeclared body length cannot be drained, so the
-            # connection must not be reused after the 400.
-            self.close_connection = True
-            raise InvalidParameterError(
-                f"bad Content-Length header: "
-                f"{self.headers.get('Content-Length')!r}") from None
-        return self.rfile.read(length) if length > 0 else b""
+        self._send(status, json.dumps(payload).encode("utf-8"))
 
     def _read_body(self) -> object:
         if not self._raw_body:
@@ -184,8 +157,9 @@ class DiversityRequestHandler(BaseHTTPRequestHandler):
                 f"request body is not valid JSON ({exc})") from exc
 
     @staticmethod
-    def _int_param(params: Dict[str, str], name: str,
+    def _int_param(params: Dict[str, object], name: str,
                    default: Optional[int] = None) -> int:
+        """An integer from the query string (or a JSON body field)."""
         raw = params.get(name)
         if raw is None:
             if default is None:
@@ -194,10 +168,9 @@ class DiversityRequestHandler(BaseHTTPRequestHandler):
             return default
         try:
             return int(raw)
-        except ValueError:
+        except (TypeError, ValueError):
             raise InvalidParameterError(
-                f"query parameter {name}={raw!r} is not an integer"
-            ) from None
+                f"parameter {name}={raw!r} is not an integer") from None
 
     # -- dispatch ------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -335,9 +308,10 @@ class DiversityRequestHandler(BaseHTTPRequestHandler):
                     'expected {"version": N} or {"seq": N}')
             if body.get("version") is not None:
                 dropped = self.router.feed.truncate_version(
-                    name, int(body["version"]))
+                    name, self._int_param(body, "version"))
             elif body.get("seq") is not None:
-                dropped = self.router.feed.truncate(name, int(body["seq"]))
+                dropped = self.router.feed.truncate(
+                    name, self._int_param(body, "seq"))
             else:
                 raise InvalidParameterError(
                     'expected {"version": N} or {"seq": N}')

@@ -31,7 +31,8 @@ from repro.graph.graph import Graph
 from repro.graph.io import write_edge_list
 from repro.core.online import online_search
 from repro.cluster import ShardMap, ShardedCluster
-from repro.server import DiversityRouter, ServerClient
+from repro.datasets.synthetic import powerlaw_cluster
+from repro.server import DiversityRouter, ServerClient, serve
 
 GRID = [(k, r) for k in (2, 3, 4, 5) for r in (1, 3, 10)]
 
@@ -262,6 +263,57 @@ class TestClusterAnswers:
         with pytest.raises(InvalidParameterError):
             cluster.add_graph("neither")
 
+    def test_malformed_content_length_gets_a_400_that_closes(self,
+                                                             cluster):
+        """The frontend closes after a 400 for an undrainable body, and
+        its response must say so (a keep-alive client would otherwise
+        reuse the dead socket)."""
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", cluster.frontend_port, timeout=10)
+        try:
+            connection.putrequest("POST", "/graphs/alpha/updates")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+            assert response.getheader("Connection") == "close"
+            assert response.will_close
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_any_worker_count_serves_the_single_process_answer(self,
+                                                                workers):
+        """Cluster wire answers equal a single-process server's, byte
+        for byte, whatever the fleet size (formerly asserted by the
+        retired cluster-throughput bench)."""
+        graphs = {f"g{i}": powerlaw_cluster(150, 4, 0.5, seed=31 + i)
+                  for i in range(3)}
+        router = DiversityRouter()
+        for name, graph in graphs.items():
+            router.add_graph(name, graph)
+        single = serve(router, port=0)
+        reference = ServerClient(f"http://127.0.0.1:{single.server_port}")
+        try:
+            with ShardedCluster(workers=workers,
+                                supervise=False).start(port=0) as fleet, \
+                    ServerClient(fleet.url) as client:
+                for name, graph in graphs.items():
+                    fleet.add_graph(name, graph=graph)
+                for name in graphs:
+                    for k, r in [(3, 10), (4, 5), (3, 1), (4, 10)]:
+                        wire = client.top_r(name, k=k, r=r)
+                        local = reference.top_r(name, k=k, r=r)
+                        assert json.dumps(wire["vertices"]) == \
+                            json.dumps(local["vertices"]), (name, k, r)
+                        assert json.dumps(wire["scores"]) == \
+                            json.dumps(local["scores"]), (name, k, r)
+        finally:
+            reference.close()
+            single.shutdown()
+            single.server_close()
+
     def test_unstarted_cluster_refuses_use(self):
         idle = ShardedCluster(workers=1, supervise=False)
         with pytest.raises(ClusterError):
@@ -317,6 +369,31 @@ class TestFanOut:
         for name in GRAPHS:
             assert placement[name] == cluster.owner(name) == PINS[name]
         assert topology["pins"] == PINS
+
+
+# ----------------------------------------------------------------------
+# The relay transport
+# ----------------------------------------------------------------------
+class TestRelayTransport:
+    def test_each_worker_is_relayed_over_one_pooled_socket(self):
+        """The frontend relays through each worker handle's one
+        ServerClient pool: a hot query phase plus /healthz and /stats
+        fan-outs open exactly one socket per worker — there is no
+        second pool beside it."""
+        with ShardedCluster(workers=2, pins=PINS,
+                            supervise=False).start(port=0) as fleet, \
+                ServerClient(fleet.url) as client:
+            for name, factory in GRAPHS.items():
+                fleet.add_graph(name, graph=factory())
+            for _ in range(20):
+                for name in GRAPHS:
+                    client.top_r(name, k=3, r=2)
+            assert client.healthz()["workers_alive"] == 2
+            assert len(client.stats()["workers"]) == 2
+            opened = [worker.connections_opened
+                      for _, worker in fleet.live_clients()]
+            assert opened == [1, 1]
+            assert client.connections_opened == 1
 
 
 # ----------------------------------------------------------------------

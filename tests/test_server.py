@@ -26,6 +26,7 @@ from repro.errors import (
 )
 from repro.graph.graph import Graph
 from repro.core.online import online_search
+from repro.datasets.synthetic import powerlaw_cluster
 from repro.server import DiversityRouter, ServerClient, serve
 from repro.service import DiversityService, IndexStore, delete, insert
 
@@ -189,6 +190,33 @@ class TestHTTPRoundTrip:
                 assert json.dumps(wire["scores"]) == \
                     json.dumps(local.scores), (name, k, r)
 
+    def test_routed_and_wire_answers_equal_a_standalone_service(self):
+        """A multi-graph router, and the HTTP front over it, answer like
+        a single-graph service started on its own (formerly asserted by
+        the retired server-throughput bench)."""
+        graphs = {f"g{i}": powerlaw_cluster(150, 4, 0.5, seed=31 + i)
+                  for i in range(4)}
+        router = DiversityRouter()
+        for name, graph in graphs.items():
+            router.add_graph(name, graph)
+        service = DiversityService.start(graphs["g0"])
+        server = serve(router, port=0)
+        try:
+            with ServerClient(
+                    f"http://127.0.0.1:{server.server_port}") as client:
+                for k, r in [(3, 10), (4, 5), (3, 1), (4, 10)]:
+                    local = service.top_r(k, r, collect_contexts=False)
+                    routed = router.top_r("g0", k, r,
+                                          collect_contexts=False)
+                    wire = client.top_r("g0", k=k, r=r)
+                    assert routed.vertices == local.vertices, (k, r)
+                    assert routed.scores == local.scores, (k, r)
+                    assert wire["vertices"] == local.vertices, (k, r)
+                    assert wire["scores"] == local.scores, (k, r)
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_top_r_contexts_round_trip(self, fleet):
         router, _, client = fleet
         wire = client.top_r("cliques", k=3, r=2, contexts=True)
@@ -260,8 +288,29 @@ class TestHTTPRoundTrip:
             response = connection.getresponse()
             assert response.status == 400
             assert "Content-Length" in json.loads(response.read())["error"]
+            # The server closes after this 400 (the body length is
+            # unknown), so the response must say so.
+            assert response.getheader("Connection") == "close"
+            assert response.will_close
         finally:
             connection.close()
+
+    def test_malformed_bodies_get_a_400_not_a_500(self, fleet):
+        """Unhashable vertex labels and non-integer feed floors are the
+        client's mistake, not an internal error."""
+        _, _, client = fleet
+        cases = [
+            ("/graphs/cliques/updates",
+             {"updates": [["insert", {"a": 1}, "a0"]]}),
+            ("/graphs/cliques/updates",
+             {"updates": [["insert", [[1]], "a0"]]}),
+            ("/graphs/cliques/updates/feed/truncate", {"version": "x"}),
+            ("/graphs/cliques/updates/feed/truncate", {"seq": [1]}),
+        ]
+        for path, body in cases:
+            with pytest.raises(ServerError) as excinfo:
+                client._request("POST", path, body=body)
+            assert excinfo.value.status == 400, (path, body)
 
     def test_updates_over_the_wire(self, fleet):
         router, _, client = fleet
