@@ -2,7 +2,7 @@
 
 The :class:`repro.service.DiversityService` is what a long-running
 process runs: answers come from an immutable snapshot (safe under
-concurrent traffic), index artifacts persist in a versioned on-disk
+concurrent traffic), its GCT index persists in a versioned on-disk
 :class:`repro.service.IndexStore` (restarts skip every build), and edge
 updates repair only the affected vertices while dropping only the cache
 thresholds whose scores actually changed.
@@ -10,14 +10,14 @@ thresholds whose scores actually changed.
 The script doubles as the `make smoke-service` end-to-end check, so it
 *asserts* its claims instead of just printing them:
 
-1. first boot: cold build, artifacts persisted;
+1. first boot: cold build, the GCT persisted;
 2. restart: warm start from the store — zero index builds;
 3. live updates: an insert/delete batch, fine-grained invalidation;
 4. correctness: every answer is rank-identical to a fresh engine, and
    the store key the batch derived from its changed vertices alone is
    the one a fresh process computes for the updated graph;
-5. a vertex-attaching batch: the grown graph's indexes re-version as a
-   delta like any other batch, the new files verify, and a fresh
+5. a vertex-attaching batch: the grown graph's GCT re-versions as a
+   delta like any other batch, the new file verifies, and a fresh
    process on the grown graph warm-starts to a cold build's answers.
 
 Run:  python examples/diversity_service.py
@@ -46,7 +46,7 @@ def main() -> None:
     store_dir = tempfile.mkdtemp(prefix="repro-store-")
     store = IndexStore(store_dir)
 
-    # --- 1. first boot: cold build, artifacts persisted --------------
+    # --- 1. first boot: cold build, the GCT persisted ----------------
     first = DiversityService.start(graph, store=store)
     assert not first.warm_started
     print(f"\nFirst boot (cold): stored snapshot "
@@ -62,7 +62,7 @@ def main() -> None:
     for (k, r), result in zip(WORKLOAD, results):
         assert ranked(result) == ranked(online_search(graph, k, r)), (k, r)
 
-    # A warm *engine* records zero index builds for the same artifacts.
+    # A warm *engine* records zero index builds for the same artifact.
     engine = QueryEngine(graph, warm_start=store)
     engine.top_r_many(WORKLOAD, method="gct")
     assert engine.stats().index_build_seconds == {}
@@ -86,11 +86,11 @@ def main() -> None:
             ranked(fresh.top_r(k, r, method="gct")), (k, r)
     print("\nPost-update answers are rank-identical to a fresh engine.")
 
-    # The store now holds the patched artifacts as the next version —
+    # The store now holds the patched GCT as the next version —
     # a process serving the *updated* graph warm-starts too.
     revived = DiversityService.warm(mutated, store)
     assert ranked(revived.top_r(4, 5)) == ranked(service.top_r(4, 5))
-    print(f"Patched artifacts re-versioned: snapshot is now "
+    print(f"Patched GCT re-versioned: snapshot is now "
           f"v{service.snapshot.version}")
 
     # The ack hashed only the segments its edges changed, yet filed the
@@ -113,15 +113,15 @@ def main() -> None:
     for update in grow:
         rebuilt.add_edge(update.u, update.v)
     version = store.current(rebuilt, key=service.snapshot.key)
-    for name in ("tsd", "gct"):
-        with ArtifactReader(store.root / version.artifacts[name]) as reader:
-            reader.verify_checksum()
+    assert version.artifact_names == ["gct"]
+    with ArtifactReader(store.root / version.artifacts["gct"]) as reader:
+        reader.verify_checksum()
     grown = DiversityService.warm(rebuilt, IndexStore(store_dir))
     cold = Snapshot.build(rebuilt)
     for k, r in WORKLOAD:
         assert ranked(grown.top_r(k, r)) == ranked(cold.top_r(k, r)), (k, r)
     print(f"\nVertex-attaching batch: {report.summary()}")
-    print(f"v{version.version}'s tsd/gct verify, and a warm start on the "
+    print(f"v{version.version}'s gct verifies, and a warm start on the "
           f"grown graph ranks like a cold build.")
 
     print("\nService report:")

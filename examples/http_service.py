@@ -10,8 +10,8 @@ them:
 1. start: two graphs registered over one shared store, HTTP up;
 2. query: wire answers byte-identical to in-process answers;
 3. update: an edge batch over the wire, answers move to the new graph;
-4. scores: hot thresholds persisted, a warm restart serves them
-   cache-hot;
+4. restart: the updated graph warm-starts from its stored GCT and
+   answers identically;
 5. compact: superseded lineages reclaimed, warm starts intact;
 6. stop: clean shutdown.
 
@@ -76,16 +76,14 @@ def main() -> None:
           f"(v{report['version']}, {report['rebuilt_forests']} forests "
           f"rebuilt); answers match a fresh search")
 
-    # -- 4. scores: hot thresholds survive a restart -------------------
-    persisted = client.persist_scores("social")
-    assert persisted, "the workload should have warmed some thresholds"
+    # -- 4. restart: the update's version warm-starts -----------------
     revived = DiversityService.start(mutated, store=IndexStore(store_dir))
     assert revived.warm_started
-    assert revived.snapshot.cached_thresholds() == persisted
-    hot = revived.top_r(persisted[0], 5)
-    assert hot.search_space == 0, "persisted threshold should serve cache-hot"
-    print(f"score cache for k={persisted} restarted warm "
-          f"(search_space={hot.search_space})")
+    for k, r in WORKLOAD:
+        assert ranked(revived.top_r(k, r, collect_contexts=False)) == \
+            ranked(router.top_r("social", k, r, collect_contexts=False))
+    print(f"updated graph restarted warm from its stored GCT "
+          f"(v{revived.snapshot.version}); answers identical")
 
     # -- 5. compact: the update lineage's stale versions reclaimed -----
     stats = client.stats()

@@ -11,8 +11,8 @@ usable without writing Python:
 * ``repro score GRAPH VERTEX -k 4``    — one vertex's score and contexts
 * ``repro build-index GRAPH OUT``      — persist a TSD or GCT index
 * ``repro query-index INDEX -k 4``     — top-r from a persisted index
-* ``repro serve-build GRAPH STORE``    — build all index artifacts into a
-  versioned :class:`~repro.service.store.IndexStore`
+* ``repro serve-build GRAPH STORE``    — build the served GCT index into
+  a versioned :class:`~repro.service.store.IndexStore`
 * ``repro serve-warm GRAPH STORE``     — serve a workload warm from the
   store (zero index builds), optionally applying live edge updates
 * ``repro serve --http 8080 --graph name=g.txt``
@@ -193,9 +193,7 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     store = IndexStore(args.store)
     engine = QueryEngine(graph, EngineConfig(build_jobs=_jobs_value(args)))
-    artifacts = [name.strip() for name in args.artifacts.split(",")
-                 if name.strip()]
-    version = engine.persist(store, artifacts=artifacts)
+    version = engine.persist(store, artifacts=("gct",))
     build_seconds = sum(engine.stats().index_build_seconds.values())
     print(f"stored {', '.join(version.artifact_names)} for graph "
           f"{version.key[:12]}… as v{version.version} in {args.store} "
@@ -338,7 +336,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"  GET  {base}/graphs/<name>/top_r?k=4&r=10&contexts=1")
     print(f"  GET  {base}/graphs/<name>/score?v=0&k=4")
     print(f"  POST {base}/graphs/<name>/updates")
-    print(f"  POST {base}/graphs/<name>/scores")
     if store is not None:
         print(f"  POST {base}/compact")
     print(f"  GET  {base}/stats")
@@ -558,13 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_query_index)
 
     p = sub.add_parser("serve-build",
-                       help="build index artifacts into a versioned store "
+                       help="build the GCT index into a versioned store "
                             "for later warm starts")
     p.add_argument("graph")
     p.add_argument("store", help="index-store directory (created if missing)")
-    p.add_argument("--artifacts", default="tsd,gct,hybrid",
-                   help="comma-separated artifacts to persist "
-                        "(default: %(default)s)")
     _add_jobs_flag(p)
     p.set_defaults(func=_cmd_serve_build)
 

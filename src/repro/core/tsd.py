@@ -477,30 +477,6 @@ class TSDIndex:
         """Continue on the eager path (first mutation of a lazy index)."""
         self._forests, self._weights = self._eager_columns()
 
-    def successor(self, vertex_order: Sequence[Vertex],
-                  forests: Mapping[Vertex, List[ForestEdge]],
-                  dropped: Iterable[Vertex] = ()) -> "TSDIndex":
-        """The index after an update batch; this one is left untouched.
-
-        ``forests`` holds the rebuilt forest of every vertex whose
-        ego-network changed (new vertices included), in graph-position
-        order; ``dropped`` names vertices that left the graph.  The
-        successor owns fresh top-level dicts but shares every other
-        forest and weight column with this index (see
-        :func:`carry_records`), so a batch costs its affected records —
-        and snapshot isolation holds, because stored records are never
-        mutated in place, only replaced.  Records hold labels, not
-        positions, so the same path serves fixed, grown and shrunk
-        vertex sets; ``vertex_order`` is the new graph's insertion order.
-        """
-        old_forests, old_weights = self._eager_columns()
-        return TSDIndex(
-            carry_records(old_forests, forests, dropped), vertex_order,
-            weights=carry_records(
-                old_weights,
-                {v: _forest_weights(edges) for v, edges in forests.items()},
-                dropped))
-
     def replace_forest(self, v: Vertex, edges: Iterable[ForestEdge]) -> None:
         """Install a freshly rebuilt forest for ``v`` (registering ``v``
         if it is new).  Used by incremental maintenance after an edge

@@ -294,22 +294,16 @@ class QueryEngine:
 
     def snapshot(self):
         """An immutable :class:`~repro.service.snapshot.Snapshot` of the
-        engine's current state: a private graph copy, the built indexes
-        (GCT is ensured — built or compressed now, never during a
+        engine's current state: a private graph copy, the GCT index
+        (ensured — loaded, compressed or built now, never during a
         reader's query), and the live score-map cache entries.
 
         The hand-off is one-way: the snapshot serves concurrent readers
         lock-free while the engine remains free to mutate and rebuild.
         """
         from repro.service.snapshot import Snapshot
-        # Pending stored artifacts join the hand-off (no builds though:
-        # tsd/hybrid stay absent unless stored or already built).
-        if self._tsd is None:
-            self._load_stored("tsd")
-        if self._hybrid is None:
-            self._load_stored("hybrid")
-        return Snapshot(self._graph, tsd=self._tsd, gct=self.gct_index,
-                        hybrid=self._hybrid, scores=self._cache.entries())
+        return Snapshot(self._graph, gct=self.gct_index,
+                        scores=self._cache.entries())
 
     # ------------------------------------------------------------------
     # Queries

@@ -48,7 +48,7 @@ _MANIFEST_VERSION = 1
 
 #: Artifact names a version record may reference, in canonical order
 #: (mirrors ``repro.service.store.ARTIFACT_NAMES``).
-_ARTIFACT_NAMES = ("tsd", "gct", "hybrid", "scores")
+_ARTIFACT_NAMES = ("tsd", "gct", "hybrid")
 
 
 def read_store_manifest(root) -> Dict:
@@ -365,8 +365,7 @@ def _sync_json(src_path: Path, dst_path: Path) -> Tuple[str, int, int]:
     """Sync one JSON artifact (whole-file; content-hash compared).
 
     JSON artifacts carry no internal checksum, so equality is decided
-    by hashing both sides — ``scores.json`` mutates in place as hot
-    thresholds accumulate, which makes a size check insufficient.
+    by hashing both sides.
     """
     src = src_path.read_bytes()
     if dst_path.exists():

@@ -364,11 +364,6 @@ class ServerClient:
         return self._request(
             "POST", f"/graphs/{name}/updates/feed/truncate", body=body)
 
-    def persist_scores(self, name: str) -> List[int]:
-        """Persist the hot score cache (``POST /graphs/<name>/scores``)."""
-        return self._request(
-            "POST", f"/graphs/{name}/scores")["persisted_thresholds"]
-
     def compact(self) -> Dict:
         """Compact the shared store (``POST /compact``)."""
         return self._request("POST", "/compact")

@@ -19,7 +19,6 @@ Method     Path                           Meaning
 ``POST``   ``/graphs/<name>/updates``     apply an edge batch
 ``POST``   ``/graphs/<name>/updates/feed/truncate``  checkpoint the feed
                                           (``{"version": N}`` or ``{"seq": N}``)
-``POST``   ``/graphs/<name>/scores``      persist the hot score cache
 ``POST``   ``/compact``                   compact the shared store
 ``GET``    ``/stats``                     whole-fleet counters
 =========  =============================  =====================================
@@ -320,11 +319,6 @@ class DiversityRequestHandler(WireRequestHandler):
                 "dropped": dropped,
                 "last_seq": self.router.feed.last_seq(name),
             })
-            return True
-        if method == "POST" and rest == ["scores"]:
-            thresholds = router.persist_scores(name)
-            self._respond(200, {"graph": name,
-                                "persisted_thresholds": thresholds})
             return True
         return False
 

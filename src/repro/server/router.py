@@ -243,10 +243,6 @@ class DiversityRouter:
         """Apply an edge batch to one named graph (its single writer)."""
         return self.service(name).apply_updates(updates)
 
-    def persist_scores(self, name: str) -> List[int]:
-        """Persist one graph's hot score cache to the shared store."""
-        return self.service(name).persist_scores()
-
     def compact(self) -> CompactionReport:
         """Compact the shared store (see :meth:`IndexStore.compact`).
 

@@ -7,7 +7,7 @@ machinery into something a long-running process can actually operate:
   on-disk store of index artifacts keyed by graph content hash, so
   restarts skip every index build (warm start);
 * :mod:`repro.service.snapshot` — :class:`Snapshot`, an immutable
-  (graph, indexes, score cache) unit that serves concurrent reads
+  (graph, GCT index, score cache) unit that serves concurrent reads
   lock-free;
 * :mod:`repro.service.updates` — edge-batch application with
   affected-vertex repair and *fine-grained* cache invalidation (only
@@ -29,11 +29,7 @@ from repro.service.store import (
     StoreVersion,
     graph_fingerprint,
 )
-from repro.service.snapshot import (
-    Snapshot,
-    scores_from_payload,
-    scores_to_payload,
-)
+from repro.service.snapshot import Snapshot
 from repro.service.updates import (
     EdgeUpdate,
     UpdateReport,
@@ -58,6 +54,4 @@ __all__ = [
     "delete",
     "graph_fingerprint",
     "insert",
-    "scores_from_payload",
-    "scores_to_payload",
 ]

@@ -5,8 +5,9 @@ answers ``top_r`` / ``score`` / ``top_r_many`` from an immutable
 :class:`~repro.service.snapshot.Snapshot` (readers never lock), applies
 edge batches through the affected-vertex repair of
 :mod:`repro.service.updates` (writers build the *next* snapshot, then
-atomically swap it in), and keeps every artifact warm across restarts
-through the :class:`~repro.service.store.IndexStore`.
+atomically swap it in), and keeps its GCT index warm across restarts
+through the :class:`~repro.service.store.IndexStore` — the one artifact
+it serves from, and so the one it persists.
 
 Concurrency model
 -----------------
@@ -38,7 +39,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import StoreError
 from repro.graph.graph import Graph, Vertex
 from repro.core.results import SearchResult
-from repro.service.snapshot import Snapshot, scores_to_payload
+from repro.service.snapshot import Snapshot
 from repro.service.store import ContentKey, IndexStore, StoreVersion
 from repro.service.updates import UpdateLike, UpdateReport, apply_batch
 
@@ -99,17 +100,18 @@ class DiversityService:
               build_jobs: Optional[int] = 0) -> "DiversityService":
         """Serve ``graph``, warm when the store already knows it.
 
-        With a store: a stored lineage for this graph's content is
-        loaded (zero index builds); otherwise the service cold-builds
-        once — through the :mod:`repro.build` pipeline under
-        ``build_jobs`` — and persists the artifacts so the *next* start
-        is warm.  The graph is hashed once, and the snapshot keeps the
-        key for its update batches to derive theirs from.
+        With a store: a stored GCT for this graph's content is loaded
+        (zero index builds); otherwise the service cold-builds once —
+        through the :mod:`repro.build` pipeline under ``build_jobs`` —
+        and persists the GCT so the *next* start is warm.  The graph is
+        hashed once, and the snapshot keeps the key for its update
+        batches to derive theirs from.
         """
         if store is None:
             return cls.cold(graph, build_jobs=build_jobs)
         content = ContentKey.of(graph)
-        if store.has(graph, key=content.digest):
+        if store.has(graph, key=content.digest) and "gct" in store.current(
+                graph, key=content.digest).artifacts:
             return cls.warm(graph, store, build_jobs=build_jobs,
                             content=content)
         return cls.cold(graph, store=store, build_jobs=build_jobs,
@@ -119,19 +121,26 @@ class DiversityService:
     def warm(cls, graph: Graph, store: IndexStore,
              build_jobs: Optional[int] = 0, *,
              content: Optional[ContentKey] = None) -> "DiversityService":
-        """Serve from stored artifacts only — no index builds at all.
+        """Serve from the stored GCT only — no index builds at all.
 
-        ``build_jobs`` still matters later: update batches repair
-        affected ego-networks under it.  ``content`` is the graph's
+        Only the current version's ``gct`` artifact is opened; any other
+        artifact a record names (``tsd``/``hybrid`` persisted through
+        :meth:`~repro.engine.QueryEngine.persist`, or an older release's
+        ``scores``) is left unread.  ``build_jobs`` still matters later:
+        update batches repair affected ego-networks under it.
+        ``content`` is the graph's
         :class:`~repro.service.store.ContentKey` when the caller already
         computed it (otherwise this hashes the graph).  Raises
         :class:`~repro.errors.StoreError` when the store has no lineage
-        for this graph's content.
+        for this graph's content, or its current version has no GCT.
         """
         content = content or ContentKey.of(graph)
-        loaded = store.load(graph, key=content.digest)
-        snapshot = Snapshot(graph, tsd=loaded.tsd, gct=loaded.gct,
-                            hybrid=loaded.hybrid, scores=loaded.scores,
+        loaded = store.load(graph, names=["gct"], key=content.digest)
+        if loaded.gct is None:
+            raise StoreError(
+                f"stored version v{loaded.version.version} of graph "
+                f"{loaded.version.key[:12]}… has no gct artifact")
+        snapshot = Snapshot(graph, gct=loaded.gct,
                             version=loaded.version.version,
                             key=loaded.version.key, content=content)
         service = cls(snapshot, store=store, build_jobs=build_jobs)
@@ -148,7 +157,7 @@ class DiversityService:
         snapshot = Snapshot.build(graph, jobs=build_jobs, content=content)
         service = cls(snapshot, store=store, build_jobs=build_jobs)
         if store is not None:
-            version = store.put(graph, tsd=snapshot.tsd, gct=snapshot.gct,
+            version = store.put(graph, gct=snapshot.gct,
                                 key=snapshot.content_key)
             snapshot.version = version.version
             snapshot.key = version.key
@@ -200,8 +209,8 @@ class DiversityService:
         """Apply an edge batch and publish the next snapshot.
 
         Readers keep serving the previous snapshot until the swap; the
-        store (when present) receives the patched artifacts as a new
-        version linked to the previous one.
+        store (when present) receives the patched GCT as a new version
+        linked to the previous one.
         """
         with self._write_lock:
             current = self._snapshot
@@ -214,12 +223,9 @@ class DiversityService:
                 # update batch.  The key apply_batch derived from the
                 # batch's segments spares the store a full re-hash, and
                 # changed_vertices lets it patch only the affected
-                # records instead of rewriting artifacts.
+                # records instead of rewriting the artifact.
                 version = self._store.put(
-                    next_snapshot.graph_view,
-                    tsd=next_snapshot.tsd, gct=next_snapshot.gct,
-                    hybrid=next_snapshot.hybrid,
-                    scores=scores_to_payload(next_snapshot.score_entries()),
+                    next_snapshot.graph_view, gct=next_snapshot.gct,
                     previous=previous,
                     changed_vertices=report.affected_vertices,
                     key=next_snapshot.content_key)
@@ -247,27 +253,6 @@ class DiversityService:
             # failure, corrupt manifest) must propagate, not silently
             # drop the cross-lineage parent link.
             return None
-
-    def persist_scores(self) -> List[int]:
-        """Persist the current snapshot's score cache to the store.
-
-        Writes the cached ``(score map, ranking)`` entries as the
-        current store version's ``scores.json`` artifact, so the next
-        warm start re-seeds them and hot thresholds restart warm.
-        Returns the persisted thresholds.  Raises
-        :class:`~repro.errors.StoreError` when the service has no
-        store.
-        """
-        if self._store is None:
-            raise StoreError(
-                "this service has no store; start it with store= to "
-                "persist score caches")
-        snapshot = self._snapshot
-        entries = snapshot.score_entries()
-        self._store.put_scores(snapshot.graph_view,
-                               scores_to_payload(entries),
-                               key=snapshot.key)
-        return sorted(entries)
 
     # ------------------------------------------------------------------
     # Introspection

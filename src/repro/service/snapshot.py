@@ -1,10 +1,10 @@
-"""Immutable :class:`Snapshot`: graph + indexes + score cache, read-only.
+"""Immutable :class:`Snapshot`: graph + GCT index + score cache, read-only.
 
 Concurrent serving needs one property above all: *nothing a reader
 touches may change under it*.  The snapshot delivers that by
 construction — it owns a graph no caller can mutate (a private copy,
 or for the update path's successors a branch sharing its predecessor's
-untouched adjacency sets), fully built indexes, and a per-``k``
+untouched adjacency sets), a fully built GCT index, and a per-``k``
 score-map cache, none of which are ever mutated after publication.  A
 reader grabs a snapshot reference once (an atomic operation) and
 serves the whole query from it; writers
@@ -17,7 +17,7 @@ yet cached installs the computed ``(score map, ranking)`` into a plain
 dict, and the first :attr:`Snapshot.content_key` read installs the
 graph's :class:`~repro.service.store.ContentKey`.  That is safe
 lock-free — each value is a pure function of the immutable graph and
-indexes, so concurrent computations are redundant but identical, and
+index, so concurrent computations are redundant but identical, and
 CPython attribute and dict assignment is atomic.
 
 Answers follow the canonical ranking contract of
@@ -41,58 +41,24 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph, Vertex
 from repro.core.results import SearchResult, build_entries
-from repro.core.tsd import TSDIndex
 from repro.core.gct import GCTIndex
-from repro.core.hybrid import HybridSearcher
 
 if TYPE_CHECKING:  # the store imports this module
     from repro.service.store import ContentKey
 
-#: One cached threshold: the score map and the canonical ranking.
+#: One memoised threshold: the score map and the canonical ranking.
 ScoreEntry = Tuple[Dict[Vertex, int], List[Tuple[Vertex, int]]]
-
-#: Format tag of a persisted score-cache payload (``scores.json``).
-SCORES_FORMAT = "repro-snapshot-scores"
-SCORES_VERSION = 1
-
-
-def scores_to_payload(entries: Dict[int, ScoreEntry]) -> Dict:
-    """JSON-able payload of score-cache entries (``scores.json``).
-
-    Only the canonical ranking is persisted per threshold — the score
-    map is its dict view, so the payload stores each entry once.
-    Vertex labels must be JSON-encodable, the same requirement the
-    index ``to_payload`` hooks impose.
-    """
-    return {
-        "format": SCORES_FORMAT,
-        "version": SCORES_VERSION,
-        "thresholds": {
-            str(k): [[vertex, score] for vertex, score in ranking]
-            for k, (_, ranking) in sorted(entries.items())
-        },
-    }
-
-
-def scores_from_payload(payload: Dict) -> Dict[int, ScoreEntry]:
-    """Rebuild score-cache entries from a :func:`scores_to_payload` dict.
-
-    Raises :class:`~repro.errors.InvalidParameterError` on a payload
-    that is not a persisted score cache.
-    """
-    if payload.get("format") != SCORES_FORMAT:
-        raise InvalidParameterError(
-            f"not a {SCORES_FORMAT} payload: format="
-            f"{payload.get('format')!r}")
-    entries: Dict[int, ScoreEntry] = {}
-    for k_text, pairs in payload.get("thresholds", {}).items():
-        ranking = [(vertex, int(score)) for vertex, score in pairs]
-        entries[int(k_text)] = (dict(ranking), ranking)
-    return entries
 
 
 class Snapshot:
-    """One immutable, fully materialised serving state.
+    """One immutable, fully materialised serving state: graph + GCT.
+
+    Every read — :meth:`top_r`, :meth:`score`, :meth:`contexts` — is
+    answered from the GCT index, the TSD index compressed for querying
+    (Lemma 3 scoring off its per-threshold score postings).  So the GCT
+    is the one index a snapshot holds, the update path patches and the
+    store persists; TSD and hybrid rankings stay library methods of
+    :class:`~repro.engine.QueryEngine`.
 
     Parameters
     ----------
@@ -100,13 +66,8 @@ class Snapshot:
         The graph this snapshot answers for.  The snapshot takes a
         private copy, so later mutations of the caller's graph cannot
         leak into published answers.
-    tsd, gct:
-        Built indexes.  At least one is required; GCT is preferred for
-        serving (Lemma 3 scoring), and missing GCT is compressed from
-        the TSD forests at construction time — never during a query.
-    hybrid:
-        Optional precomputed rankings, carried so the artifact lineage
-        survives snapshot hand-offs (queries do not need it).
+    gct:
+        The built GCT index (required).
     scores:
         Score-cache entries to seed (``k`` → (score map, ranking)),
         typically the survivors of a fine-grained invalidation.
@@ -117,20 +78,20 @@ class Snapshot:
         The graph's :class:`~repro.service.store.ContentKey`, when the
         caller already computed it; otherwise :attr:`content_key`
         computes it on first use.
+    tsd:
+        Ignored: a caller holding both built indexes may hand them over
+        together, and the snapshot keeps the GCT alone.
     """
 
-    __slots__ = ("_graph", "_tsd", "_gct", "_hybrid", "_scores",
-                 "_content", "version", "key")
+    __slots__ = ("_graph", "_gct", "_scores", "_content", "version", "key")
 
     def __init__(self, graph: Graph,
-                 tsd: Optional[TSDIndex] = None,
                  gct: Optional[GCTIndex] = None,
-                 hybrid: Optional[HybridSearcher] = None,
                  scores: Optional[Dict[int, ScoreEntry]] = None,
                  version: int = 0, key: Optional[str] = None,
-                 content: Optional["ContentKey"] = None) -> None:
-        self._install(graph.copy(), tsd, gct, hybrid, scores, version, key,
-                      content)
+                 content: Optional["ContentKey"] = None, *,
+                 tsd: object = None) -> None:
+        self._install(graph.copy(), gct, scores, version, key, content)
 
     @classmethod
     def adopting(cls, graph: Graph, **parts) -> "Snapshot":
@@ -148,19 +109,14 @@ class Snapshot:
         return snapshot
 
     def _install(self, graph: Graph,
-                 tsd: Optional[TSDIndex] = None,
                  gct: Optional[GCTIndex] = None,
-                 hybrid: Optional[HybridSearcher] = None,
                  scores: Optional[Dict[int, ScoreEntry]] = None,
                  version: int = 0, key: Optional[str] = None,
                  content: Optional["ContentKey"] = None) -> None:
-        if tsd is None and gct is None:
-            raise InvalidParameterError(
-                "a snapshot needs at least one built index (tsd or gct)")
+        if gct is None:
+            raise InvalidParameterError("a snapshot needs a built GCT index")
         self._graph = graph
-        self._tsd = tsd
-        self._gct = gct if gct is not None else GCTIndex.compress(tsd)
-        self._hybrid = hybrid
+        self._gct = gct
         self._scores: Dict[int, ScoreEntry] = dict(scores or {})
         self._content = content
         self.version = version
@@ -172,20 +128,21 @@ class Snapshot:
     @classmethod
     def build(cls, graph: Graph, jobs: Optional[int] = 0,
               content: Optional["ContentKey"] = None) -> "Snapshot":
-        """Cold-build a snapshot straight from a graph (TSD and GCT).
+        """Cold-build a snapshot straight from a graph.
 
         Construction goes through the :mod:`repro.build` pipeline: one
-        shared triangle pass and one decomposition feed *both* indexes,
-        auto-planned serial or multi-process by ``jobs`` (see
+        shared triangle pass and one decomposition assemble the GCT
+        (the pass yields the TSD forests on the way, which are not
+        kept), auto-planned serial or multi-process by ``jobs`` (see
         :meth:`repro.build.BuildPlan.decide`; ``None`` keeps the legacy
-        per-vertex TSD build + compress).  The resulting artifacts are
+        per-vertex build + compress).  The resulting artifacts are
         byte-identical across strategies, so snapshots built with
         different ``jobs`` values share store lineages.  ``content`` is
         passed through to the constructor.
         """
         from repro.build import build_indexes
-        tsd, gct = build_indexes(graph, jobs=jobs)
-        return cls(graph, tsd=tsd, gct=gct, content=content)
+        _, gct = build_indexes(graph, jobs=jobs)
+        return cls(graph, gct=gct, content=content)
 
     # ------------------------------------------------------------------
     # Read-only state
@@ -255,19 +212,15 @@ class Snapshot:
         return self._graph.num_edges
 
     @property
-    def tsd(self) -> Optional[TSDIndex]:
-        """The TSD index, when this snapshot carries one."""
-        return self._tsd
+    def tsd(self) -> None:
+        """Always ``None``: a snapshot holds no TSD index, so a caller
+        persisting ``tsd=snapshot.tsd`` beside the GCT stores none."""
+        return None
 
     @property
-    def gct(self) -> Optional[GCTIndex]:
+    def gct(self) -> GCTIndex:
         """The GCT index the snapshot serves from."""
         return self._gct
-
-    @property
-    def hybrid(self) -> Optional[HybridSearcher]:
-        """The hybrid rankings, when this snapshot carries them."""
-        return self._hybrid
 
     def cached_thresholds(self) -> List[int]:
         """Thresholds with a materialised score map, ascending."""

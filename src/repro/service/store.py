@@ -3,19 +3,25 @@
 The paper's indexes only pay off when they are built once and served
 many times — yet a restarted process used to start cold and rebuild
 everything.  The store closes that gap: it keeps, per *graph content*,
-a versioned lineage of index artifacts (TSD forests, GCT supernode
-forests, hybrid rankings) so any later process serving the same graph
-can skip every build.
+a versioned lineage of index artifacts so any later process serving
+the same graph can skip every build.  A served graph's lineage holds
+its GCT supernode forests alone — the one index a
+:class:`~repro.service.snapshot.Snapshot` reads, patches and persists;
+the TSD forests and hybrid rankings are stored only when a library
+caller asks (:meth:`repro.engine.QueryEngine.persist`).
 
 Layout on disk::
 
     <root>/
       manifest.json                    # the store catalogue
       .lock                            # cross-process writer lock
-      objects/<graph-key>/v<N>/tsd.bin       # paged binary (RBIX)
-      objects/<graph-key>/v<N>/gct.bin
-      objects/<graph-key>/v<N>/hybrid.json
-      objects/<graph-key>/v<N>/scores.json   # persisted score cache
+      objects/<graph-key>/v<N>/gct.bin       # paged binary (RBIX)
+      objects/<graph-key>/v<N>/tsd.bin       # library callers only
+      objects/<graph-key>/v<N>/hybrid.json   # library callers only
+
+A record an older release wrote may also name a ``scores`` artifact (a
+persisted score cache); it is never read, and :meth:`IndexStore.compact`
+drops the name and reclaims the file.
 
 Design notes
 ------------
@@ -29,23 +35,21 @@ Design notes
 * **Versioning.**  Every :meth:`IndexStore.put` creates a new version.
   Artifacts the caller did not re-supply are *carried forward* by
   reference: the manifest records each artifact's relative path, so a
-  live update that only patched the TSD and GCT artifacts re-versions
-  the lineage without rewriting the untouched hybrid rankings.
+  re-version of the same content that supplies only a GCT keeps its
+  stored TSD and hybrid rankings without rewriting them.
 * **Format ownership.**  The store persists payloads produced by
   ``TSDIndex.to_payload`` / ``GCTIndex.to_payload`` /
-  ``HybridSearcher.to_payload`` (and, for the ``scores`` artifact,
-  :func:`repro.service.snapshot.scores_to_payload`) and hands them back
-  to the matching ``from_payload`` — it never interprets artifact
-  internals.
+  ``HybridSearcher.to_payload`` and hands them back to the matching
+  ``from_payload`` — it never interprets artifact internals.
 * **One format per artifact kind.**  ``tsd``/``gct`` are always
   written in the paged binary format of :mod:`repro.storage`, which
   :meth:`load` opens lazily through an mmap so a warm start pays O(1)
-  decode instead of deserialising every forest; ``hybrid``/``scores``
-  are small graph-attached JSON payloads.  On read the file suffix
-  picks the decoder, so a ``.json`` ``tsd``/``gct`` written by an
-  older release still loads (eagerly) and :meth:`convert` migrates it.
+  decode instead of deserialising every forest; ``hybrid`` is a small
+  graph-attached JSON payload.  On read the file suffix picks the
+  decoder, so a ``.json`` ``tsd``/``gct`` written by an older release
+  still loads (eagerly) and :meth:`convert` migrates it.
 * **Durability.**  Artifact and manifest writes go through tmp +
-  ``os.replace``; ``put`` / ``put_scores`` / ``compact`` hold an
+  ``os.replace``; ``put`` / ``convert`` / ``compact`` hold an
   on-disk lock and re-read the manifest first, so concurrent writers
   sharing a root never lose each other's versions.
 
@@ -80,7 +84,6 @@ from repro.core.tsd import TSDIndex
 from repro.core.gct import GCTIndex
 from repro.core.hybrid import HybridSearcher
 from repro.service.lock import StoreLock
-from repro.service.snapshot import ScoreEntry, scores_from_payload
 from repro.storage.lazy import open_gct_artifact, open_tsd_artifact
 from repro.storage.reader import read_payload
 from repro.storage.writer import compact_artifact, write_artifact, write_delta
@@ -89,11 +92,12 @@ from repro.util.jsonio import dumps_payload
 _MANIFEST_FORMAT = "repro-index-store"
 _MANIFEST_VERSION = 1
 
-#: Artifact names the store understands, in persistence order.  The
-#: ``scores`` artifact is a snapshot's persisted per-``k`` score cache
-#: (:func:`repro.service.snapshot.scores_to_payload`), so hot
-#: thresholds restart warm alongside the indexes.
-ARTIFACT_NAMES = ("tsd", "gct", "hybrid", "scores")
+#: Artifact names the store understands, in persistence order.
+ARTIFACT_NAMES = ("tsd", "gct", "hybrid")
+
+#: Artifact names older releases wrote into version records: never
+#: read; :meth:`IndexStore.compact` drops them and reclaims their files.
+_RETIRED_NAMES = ("scores",)
 
 #: The per-vertex-record artifacts, written as ``<name>.bin``; the
 #: other names are written as ``<name>.json``.
@@ -220,14 +224,13 @@ class StoredIndexes:
     tsd: Optional[TSDIndex] = None
     gct: Optional[GCTIndex] = None
     hybrid: Optional[HybridSearcher] = None
-    scores: Optional[Dict[int, ScoreEntry]] = None
 
     @property
     def loaded_names(self) -> List[str]:
         """Names of the artifacts that were actually materialised."""
         return [name for name, obj in
                 (("tsd", self.tsd), ("gct", self.gct),
-                 ("hybrid", self.hybrid), ("scores", self.scores))
+                 ("hybrid", self.hybrid))
                 if obj is not None]
 
 
@@ -443,7 +446,6 @@ class IndexStore:
             tsd: Optional[TSDIndex] = None,
             gct: Optional[GCTIndex] = None,
             hybrid: Optional[HybridSearcher] = None,
-            scores: Optional[Dict] = None,
             previous: Optional[StoreVersion] = None,
             changed_vertices=None,
             key: Optional[str] = None) -> StoreVersion:
@@ -452,10 +454,7 @@ class IndexStore:
         Artifacts passed as ``None`` are carried forward by reference
         from this graph's current version — only changed artifacts are
         rewritten, which is what makes a re-version cheap.  At least
-        one artifact must end up in the new version.  ``scores`` is a
-        :func:`~repro.service.snapshot.scores_to_payload` dict (the
-        snapshot's per-``k`` score cache); an empty payload is skipped
-        rather than stored.
+        one artifact must end up in the new version.
 
         ``previous`` links lineages across *content changes*: a live
         update produces a graph with a new fingerprint, so its patched
@@ -488,8 +487,6 @@ class IndexStore:
         re-read), so a crash mid-write never leaves a torn artifact and
         concurrent writers sharing a root never lose versions.
         """
-        if scores is not None and not scores.get("thresholds"):
-            scores = None  # nothing cached: don't store an empty payload
         key = key or graph_fingerprint(graph)
         with self._locked():
             entry = self._manifest["graphs"].setdefault(
@@ -501,8 +498,7 @@ class IndexStore:
             carried = entry["versions"].get(str(entry["current"]), {})
 
             artifacts: Dict[str, str] = {}
-            supplied = {"tsd": tsd, "gct": gct, "hybrid": hybrid,
-                        "scores": scores}
+            supplied = {"tsd": tsd, "gct": gct, "hybrid": hybrid}
             for name in ARTIFACT_NAMES:
                 obj = supplied[name]
                 if obj is None:
@@ -523,11 +519,9 @@ class IndexStore:
                                        fingerprint=key)
                 else:
                     path = version_dir / f"{name}.json"
-                    self._write_json_atomic(
-                        path, obj if name == "scores" else obj.to_payload())
+                    self._write_json_atomic(path, obj.to_payload())
                 artifacts[name] = str(path.relative_to(self._root))
-            if not any(name in artifacts for name in
-                       ("tsd", "gct", "hybrid")):
+            if not artifacts:
                 raise StoreError("refusing to store an index-less version: "
                                  "supply at least one of tsd=, gct=, hybrid=")
 
@@ -556,36 +550,6 @@ class IndexStore:
                 return relpath
         return None
 
-    def put_scores(self, graph: Graph, scores: Dict,
-                   key: Optional[str] = None) -> Optional[StoreVersion]:
-        """Attach (or refresh) the current version's ``scores`` artifact.
-
-        Score caches are derived data that grows *while serving* — hot
-        thresholds get memoised long after the indexes were persisted —
-        so unlike :meth:`put` this updates the current version's record
-        in place instead of minting a new version.  Returns the updated
-        :class:`StoreVersion`, or ``None`` when the payload holds no
-        thresholds (an empty cache is not worth a write).  ``key``
-        skips re-hashing, as in :meth:`has`.
-        """
-        if not scores.get("thresholds"):
-            return None
-        with self._locked():
-            version = self.current(graph, key=key)
-            entry = self._manifest["graphs"][version.key]
-            version_dir = (self._root / "objects" / version.key
-                           / f"v{version.version}")
-            version_dir.mkdir(parents=True, exist_ok=True)
-            path = version_dir / "scores.json"
-            self._write_json_atomic(path, scores)
-            relpath = str(path.relative_to(self._root))
-            entry["versions"][str(version.version)]["scores"] = relpath
-            self._write_manifest()
-            artifacts = dict(version.artifacts)
-            artifacts["scores"] = relpath
-        return StoreVersion(key=version.key, version=version.version,
-                            artifacts=artifacts)
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -608,8 +572,6 @@ class IndexStore:
             if name == "hybrid":
                 return HybridSearcher.from_payload(graph, payload,
                                                    source=str(path))
-            if name == "scores":
-                return scores_from_payload(payload)
             return _INDEX_CLASSES[name].from_payload(payload,
                                                      source=str(path))
         except _DECODE_ERRORS as exc:
@@ -751,9 +713,13 @@ class IndexStore:
                     del graphs[key]
                     removed_keys.append(key)
 
-            # Strip parent links whose target no longer exists.
+            # Strip retired artifact names (their files go below, as
+            # unreferenced) and parent links whose target no longer
+            # exists.
             for entry in graphs.values():
                 for record in entry["versions"].values():
+                    for name in _RETIRED_NAMES:
+                        record.pop(name, None)
                     parent = record.get("parent")
                     if parent is None:
                         continue

@@ -4,8 +4,9 @@ Whole-engine ``invalidate()`` throws away every index and every cached
 score map on any mutation.  This module replaces it with the locality
 argument of :mod:`repro.core.dynamic`: inserting or deleting edge
 ``(u, v)`` changes only the ego-networks of ``{u, v} ∪ (N(u) ∩ N(v))``,
-so only those vertices' TSD forests and GCT entries are rebuilt — every
-other artifact entry is carried into the next snapshot untouched.
+so only those vertices' ego forests are re-decomposed and their GCT
+entries rebuilt — every other GCT record is carried into the next
+snapshot untouched.
 
 Fine-grained cache invalidation falls out of the same locality: a
 cached ``(score map, ranking)`` at threshold ``k`` is still exact after
@@ -35,9 +36,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro.errors import GraphError, InvalidParameterError
 from repro.graph.graph import Graph, Vertex
 from repro.core.diversity import profile_from_weights
-from repro.core.tsd import TSDIndex, ForestEdge
+from repro.core.tsd import ForestEdge
 from repro.core.gct import GCTIndex, assemble_from_forest
-from repro.core.hybrid import HybridSearcher
 from repro.service.snapshot import ScoreEntry, Snapshot
 
 
@@ -132,10 +132,8 @@ def _affected_by(graph: Graph, u: Vertex, v: Vertex) -> Set[Vertex]:
 
 def _old_profile(snapshot: Snapshot, v: Vertex) -> Dict[int, int]:
     """Pre-update score profile of ``v`` ({} for vertices not indexed)."""
-    index = snapshot.tsd if snapshot.tsd is not None else snapshot.gct
-    if v not in index:
-        return {}
-    return index.score_profile(v)
+    gct = snapshot.gct
+    return gct.score_profile(v) if v in gct else {}
 
 
 def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
@@ -151,11 +149,8 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
       every adjacency set the batch did not touch;
     * its store key (:attr:`Snapshot.content_key`), derived from the
       input's per-vertex segments when the input's key was computed;
-    * a TSD index (when the input had one) and a GCT index with only
-      the affected vertices' entries rebuilt;
-    * hybrid rankings recomputed from the repaired TSD forests when the
-      input carried them (they are global per-``k`` sorts, so there is
-      no per-vertex patch for them);
+    * a GCT index with only the affected vertices' entries rebuilt,
+      assembled from their repaired ego forests;
     * exactly the cache entries whose thresholds survived invalidation.
 
     The affected-vertex ego repair runs through
@@ -223,19 +218,11 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
         for w, forest in new_forests.items()
     }
 
-    old_tsd = snapshot.tsd
-    new_tsd: Optional[TSDIndex] = None
-    if old_tsd is not None:
-        new_tsd = old_tsd.successor(order, new_forests, dropped)
     new_gct: GCTIndex = snapshot.gct.successor(
         order,
         {w: assemble_from_forest(forest, position)
          for w, forest in new_forests.items()},
         dropped)
-
-    new_hybrid: Optional[HybridSearcher] = None
-    if snapshot.hybrid is not None and new_tsd is not None:
-        new_hybrid = HybridSearcher.precompute(graph, index=new_tsd)
 
     # --- 4. fine-grained cache invalidation ---------------------------
     changed_ks: Set[int] = set()
@@ -258,9 +245,8 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
     # The graph is this call's private branch and is not touched again,
     # so the next snapshot takes it over instead of copying it.
     next_snapshot = Snapshot.adopting(
-        graph, tsd=new_tsd, gct=new_gct, hybrid=new_hybrid,
-        scores=retained, version=snapshot.version + 1, key=None,
-        content=content)
+        graph, gct=new_gct, scores=retained, version=snapshot.version + 1,
+        key=None, content=content)
     report = UpdateReport(
         num_updates=len(batch),
         affected_vertices=tuple(sorted(affected, key=repr)),

@@ -106,7 +106,7 @@ class TestServeCommands:
         store = str(tmp_path / "store")
         assert main(["serve-build", path, store]) == 0
         out = capsys.readouterr().out
-        assert "stored tsd, gct, hybrid" in out and "as v1" in out
+        assert "stored gct for graph" in out and "as v1" in out
         assert main(["serve-warm", path, store, "--queries", "4:1"]) == 0
         out = capsys.readouterr().out
         assert f"{v_id}:3" in out
@@ -130,12 +130,13 @@ class TestServeCommands:
         assert "applied 2 update(s)" in out
         assert "updates applied:   2" in out
 
-    def test_serve_build_artifact_subset(self, figure1_file, tmp_path,
-                                         capsys):
+    def test_serve_build_takes_no_artifacts_option(self, figure1_file,
+                                                   tmp_path):
+        """The served GCT is the one artifact there is to build."""
         path, _ = figure1_file
-        store = str(tmp_path / "store")
-        assert main(["serve-build", path, store, "--artifacts", "gct"]) == 0
-        assert "stored gct" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["serve-build", path, str(tmp_path / "store"),
+                  "--artifacts", "gct"])
 
     def test_bad_update_spec(self, figure1_file, tmp_path):
         from repro.errors import InvalidParameterError
@@ -150,8 +151,7 @@ class TestServeCommands:
         path, _ = figure1_file
         store = tmp_path / "store"
         assert main(["serve-build", path, str(store)]) == 0
-        assert sorted(p.name for p in store.rglob("v1/*")) == \
-            ["gct.bin", "hybrid.json", "tsd.bin"]
+        assert sorted(p.name for p in store.rglob("v1/*")) == ["gct.bin"]
 
     @pytest.mark.parametrize("command", ["serve-build", "serve"])
     def test_no_format_option(self, command, capsys):
@@ -201,7 +201,7 @@ class TestStoreCommands:
         store = str(tmp_path / "store")
         assert main(["serve-build", path, store]) == 0
         capsys.readouterr()
-        artifact = next(Path(store).rglob("tsd.bin"))
+        artifact = next(Path(store).rglob("gct.bin"))
         assert main(["store-inspect", str(artifact), "--verify"]) == 0
         out = capsys.readouterr().out
         assert "num_vertices" in out and "17" in out

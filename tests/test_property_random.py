@@ -13,11 +13,12 @@ serving surface the system has grown:
 * the GCT *score postings* every index-backed answer is read from
   (``ranking`` / ``scores_for_all`` / ``top_r`` ≡ the per-vertex
   ``score`` scan; eager ≡ compressed ≡ lazy mmap),
-* the *incremental* indexes: after each of several update batches the
-  successor indexes (which share every unaffected record with their
-  predecessor) encode byte-for-byte like a from-scratch build — their
-  patched score postings included — and the predecessor snapshot still
-  answers bit-identically,
+* the *incremental* index: after each of several update batches the
+  successor GCT (which shares every unaffected record with its
+  predecessor) encodes byte-for-byte like a from-scratch build — its
+  patched score postings included — the predecessor snapshot still
+  answers bit-identically, and the cache invalidation read off GCT
+  score profiles is the one the TSD oracle's profiles give,
 * the *stored* versions those batches write (vertex-attaching ones
   included, which re-version as relaid deltas): each verifies its
   checksum, warm-starts like a scratch build, and replicates to a
@@ -222,10 +223,9 @@ class TestDifferentialRankings:
             assert len({v for v, _ in answer}) == n, (name, k)
 
 
-def _index_bytes(tsd, gct):
-    """Both artifacts in canonical byte form — key order counts."""
-    return (dumps_payload(tsd.to_payload(include_profile=False)),
-            dumps_payload(gct.to_payload(include_profile=False)))
+def _gct_bytes(gct):
+    """The artifact in canonical byte form — key order counts."""
+    return dumps_payload(gct.to_payload(include_profile=False))
 
 
 def _observe(snapshot: Snapshot):
@@ -240,10 +240,9 @@ def _observe(snapshot: Snapshot):
         "gct_top_r": {(k, r): _canonical(
             snapshot.gct.top_r(k, r, collect_contexts=False))
             for k, r in _sweep(graph)},
-        "forests": {v: snapshot.tsd.forest(v) for v in vertices},
         "supernodes": {v: snapshot.gct.supernodes(v) for v in vertices},
         "superedges": {v: snapshot.gct.superedges(v) for v in vertices},
-        "bytes": _index_bytes(snapshot.tsd, snapshot.gct),
+        "bytes": _gct_bytes(snapshot.gct),
     }
 
 
@@ -302,10 +301,10 @@ def _derived_postings(gct):
 
 class TestIncrementalSuccessors:
     def test_successors_encode_like_scratch_builds(self, case):
-        """After every batch the shared-state successor indexes equal a
-        from-scratch build byte for byte (dict order included), rank
-        like the online baseline, and leave every earlier snapshot —
-        whose records they share — bit-identical.  Each predecessor is
+        """After every batch the shared-state successor GCT equals a
+        from-scratch build byte for byte (dict order included), ranks
+        like the online baseline, and leaves every earlier snapshot —
+        whose records it shares — bit-identical.  Each predecessor is
         warm (``_observe`` queried it), so the successor's score
         postings are the predecessor's, patched: they must equal, array
         for array, the ones a scratch build derives."""
@@ -317,8 +316,8 @@ class TestIncrementalSuccessors:
             current, report = apply_batch(current, batch)
             after = current.graph_view
             scratch = build_indexes(after)
-            assert _index_bytes(current.tsd, current.gct) == \
-                _index_bytes(*scratch), (name, batch)
+            assert _gct_bytes(current.gct) == _gct_bytes(scratch[1]), \
+                (name, batch)
             assert current.gct._postings is not None, (name, batch)
             assert current.gct._postings == _derived_postings(scratch[1]), \
                 (name, batch)
@@ -331,12 +330,48 @@ class TestIncrementalSuccessors:
                 assert _canonical(current.top_r(k, r, False)) == \
                     _canonical(online_search(after, k, r)), (name, k, r)
             held.append((current, _observe(current)))
-        # Mutation hooks on the newest index must not reach the others.
-        vertices = list(current.graph_view.vertices())
-        current.tsd.replace_forest(vertices[0], [])
-        current.tsd.drop_vertex(vertices[-1])
-        for snapshot, seen in held[:-1]:
+        for snapshot, seen in held:
             assert _observe(snapshot) == seen, name
+
+    def test_invalidation_matches_the_tsd_oracle(self, case):
+        """The update path reads pre-batch score profiles off the GCT.
+        Before and after every batch they equal a scratch TSD's for
+        every vertex, and the thresholds a batch drops and keeps are
+        the ones the TSD profiles of the whole graph imply."""
+        name, graph, _ = case
+
+        def profiles(tsd, vertices):
+            return {v: tsd.score_profile(v) if v in tsd else {}
+                    for v in vertices}
+
+        def assert_gct_profiles_match(snapshot, tsd):
+            vertices = list(snapshot.graph_view.vertices())
+            assert {v: snapshot.gct.score_profile(v) for v in vertices} \
+                == profiles(tsd, vertices), name
+
+        current = Snapshot.build(graph)
+        oracle = build_indexes(graph)[0]
+        for batch in _batches(graph, random.Random(f"oracle-{name}")):
+            assert_gct_profiles_match(current, oracle)
+            for k in K_SWEEP:
+                current.top_r(k, 1, collect_contexts=False)
+            cached = set(current.cached_thresholds())
+            nxt, report = apply_batch(current, batch)
+            next_oracle = build_indexes(nxt.graph_view)[0]
+            vertices = list(nxt.graph_view.vertices())
+            old, new = profiles(oracle, vertices), profiles(next_oracle,
+                                                            vertices)
+            changed = {k for v in vertices
+                       for k in set(old[v]) | set(new[v])
+                       if old[v].get(k, 0) != new[v].get(k, 0)}
+            grew = nxt.num_vertices != current.num_vertices
+            invalidated = cached if grew else cached & changed
+            assert report.invalidated_thresholds == \
+                tuple(sorted(invalidated)), (name, batch)
+            assert report.retained_thresholds == \
+                tuple(sorted(cached - invalidated)), (name, batch)
+            current, oracle = nxt, next_oracle
+        assert_gct_profiles_match(current, oracle)
 
     def test_unscanned_predecessor_hands_on_no_postings(self, case):
         """The update path must not pay for a column nobody asked for:
@@ -360,8 +395,8 @@ class TestIncrementalSuccessors:
         if not connected:
             pytest.skip("no vertex with an ego-network to lose")
         victim = random.Random(f"drop-{name}").choice(connected)
-        tsd, gct = build_indexes(graph)
-        before = _index_bytes(tsd, gct)
+        _, gct = build_indexes(graph)
+        before = _gct_bytes(gct)
         warm = _derived_postings(gct)
         smaller = graph.copy()
         neighbours = set(smaller.neighbors(victim))
@@ -370,15 +405,13 @@ class TestIncrementalSuccessors:
         position = {v: i for i, v in enumerate(order)}
         targets = sorted(neighbours, key=position.__getitem__)
         repaired = repair_forests(smaller, targets)
-        forests = {v: repaired[v] for v in targets}
-        next_tsd = tsd.successor(order, forests, dropped=[victim])
         next_gct = gct.successor(
-            order, {v: assemble_from_forest(forest, position)
-                    for v, forest in forests.items()}, dropped=[victim])
-        assert _index_bytes(next_tsd, next_gct) == \
-            _index_bytes(*build_indexes(smaller)), name
-        assert victim not in next_tsd and victim not in next_gct
-        assert _index_bytes(tsd, gct) == before, name
+            order, {v: assemble_from_forest(repaired[v], position)
+                    for v in targets}, dropped=[victim])
+        assert _gct_bytes(next_gct) == \
+            _gct_bytes(build_indexes(smaller)[1]), name
+        assert victim not in next_gct
+        assert _gct_bytes(gct) == before, name
         # Dropping a vertex shifts positions: the warm predecessor's
         # postings are not patched, the successor re-derives its own.
         assert next_gct._postings is None and gct._postings is warm, name
@@ -472,10 +505,10 @@ class TestStoredGrowingVersions:
     @staticmethod
     def _verify(store, snapshot):
         version = store.current(snapshot.graph_view, key=snapshot.key)
-        for name in ("tsd", "gct"):
-            assert version.artifacts[name].endswith(f"{name}.bin")
-            with ArtifactReader(store.root / version.artifacts[name]) as r:
-                r.verify_checksum()
+        assert version.artifact_names == ["gct"]
+        assert version.artifacts["gct"].endswith("gct.bin")
+        with ArtifactReader(store.root / version.artifacts["gct"]) as r:
+            r.verify_checksum()
         return version
 
     def test_warm_restarts_rank_like_a_scratch_build(self, case, tmp_path):
@@ -513,14 +546,12 @@ class TestStoredGrowingVersions:
             service.apply_updates(batch)
             grown = service.snapshot.num_vertices > before
             report = replicate_store(store.root, follower)
-            assert report.files_delta == (0 if grown else 2), (name, batch)
+            assert report.files_delta == (0 if grown else 1), (name, batch)
             replica = IndexStore(follower)
             version = self._verify(replica, service.snapshot)
             assert version.version == service.snapshot.version
             view = service.snapshot.graph_view
             loaded = replica.load(_rebuilt(view))
             for k, r in _sweep(view):
-                served = _canonical(service.top_r(k, r, False))
-                for index in (loaded.tsd, loaded.gct):
-                    assert _canonical(index.top_r(k, r, False)) == served, \
-                        (name, k, r)
+                assert _canonical(loaded.gct.top_r(k, r, False)) == \
+                    _canonical(service.top_r(k, r, False)), (name, k, r)

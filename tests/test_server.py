@@ -153,8 +153,7 @@ class TestDiversityRouter:
 
         report = router.compact()
         assert router.service("b").snapshot.key not in report.removed_keys
-        # "b" can still persist its cache and warm-start from its head.
-        assert router.persist_scores("b") == [3]
+        # "b" can still warm-start from its head.
         revived = DiversityService.warm(shared,
                                         IndexStore(tmp_path / "store"))
         assert _ranked(revived.top_r(3, 9)) == \
@@ -361,14 +360,18 @@ class TestHTTPRoundTrip:
         assert report["removed_versions"] >= 2
         assert report["kept_versions"] == len(router.store.keys())
 
-    def test_persist_scores_over_the_wire(self, fleet):
+    def test_no_score_cache_endpoint(self, fleet):
+        """Nothing persists a score cache: a restart re-derives hot
+        thresholds from the stored GCT, the one artifact a served
+        graph's versions hold."""
         router, _, client = fleet
         client.top_r("cliques", k=3, r=5)
-        client.top_r("cliques", k=4, r=5)
-        assert client.persist_scores("cliques") == [3, 4]
-        loaded = router.store.load(
-            router.service("cliques").snapshot.graph_view)
-        assert sorted(loaded.scores) == [3, 4]
+        with pytest.raises(ServerError) as excinfo:
+            client._request("POST", "/graphs/cliques/scores")
+        assert excinfo.value.status == 404
+        snapshot = router.service("cliques").snapshot
+        assert router.store.current(
+            snapshot.graph_view, key=snapshot.key).artifact_names == ["gct"]
 
 
 # ----------------------------------------------------------------------

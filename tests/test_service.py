@@ -206,25 +206,6 @@ class TestIndexStore:
         assert merged.load(figure1).tsd is not None
         assert merged.load(other).tsd is not None
 
-    def test_put_scores_updates_current_version_in_place(self, figure1,
-                                                         tmp_path):
-        from repro.service import scores_from_payload, scores_to_payload
-        store = IndexStore(tmp_path / "store")
-        store.put(figure1, tsd=TSDIndex.build(figure1))
-        snap = Snapshot.build(figure1)
-        snap.top_r(4, 2)
-        updated = store.put_scores(figure1,
-                                   scores_to_payload(snap.score_entries()))
-        assert updated.version == 1  # no new version minted
-        assert "scores" in updated.artifacts
-        loaded = IndexStore(tmp_path / "store").load(figure1)
-        assert sorted(loaded.scores) == [4]
-        score_map, ranking = loaded.scores[4]
-        assert score_map["v"] == 3
-        assert ranking[0] == ("v", 3)
-        # An empty cache is not worth a write.
-        assert store.put_scores(figure1, scores_to_payload({})) is None
-
     def test_cross_lineage_previous_link(self, figure1, tmp_path):
         """A content change re-versions: numbering continues from the
         parent and the manifest records the link."""
@@ -285,9 +266,14 @@ class TestSnapshot:
         with pytest.raises(InvalidParameterError):
             Snapshot(figure1)
 
-    def test_gct_compressed_when_missing(self, figure1):
-        snap = Snapshot(figure1, tsd=TSDIndex.build(figure1))
-        assert snap.gct is not None
+    def test_requires_a_gct(self, figure1):
+        """A snapshot serves, patches and persists its GCT alone: a TSD
+        handed over without one is no snapshot."""
+        with pytest.raises(InvalidParameterError):
+            Snapshot(figure1, tsd=TSDIndex.build(figure1))
+        snap = Snapshot(figure1, tsd=TSDIndex.build(figure1),
+                        gct=GCTIndex.build(figure1))
+        assert snap.tsd is None
         assert snap.score("v", 4) == 3
 
     @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "mmap"])
@@ -445,9 +431,9 @@ class TestApplyBatch:
                 _ranked(online_search(expected, k, r)), (k, r)
 
     def test_unaffected_records_are_shared_not_copied(self):
-        """A batch costs its affected records: every other forest, GCT
-        entry and derived column of the next indexes is the very object
-        the previous snapshot holds, under fresh top-level dicts."""
+        """A batch costs its affected records: every other GCT entry and
+        derived column of the next index is the very object the
+        previous snapshot holds, under fresh top-level dicts."""
         graph = _random_graph(40, 0.15, 21)
         snap = Snapshot.build(graph)
         u, v = next(iter(graph.edges()))
@@ -455,9 +441,7 @@ class TestApplyBatch:
         untouched = [w for w in graph.vertices()
                      if w not in report.affected_vertices]
         assert untouched and "fresh" in report.affected_vertices
-        pairs = [(snap.tsd._forests, nxt.tsd._forests),
-                 (snap.tsd._weights, nxt.tsd._weights),
-                 (snap.gct._supernodes, nxt.gct._supernodes),
+        pairs = [(snap.gct._supernodes, nxt.gct._supernodes),
                  (snap.gct._superedges, nxt.gct._superedges),
                  (snap.gct._tau_sorted, nxt.gct._tau_sorted),
                  (snap.gct._weight_sorted, nxt.gct._weight_sorted)]
@@ -869,66 +853,221 @@ class TestCompaction:
         assert report.to_payload()["removed_versions"] == 1
 
 
+
+
 # ----------------------------------------------------------------------
-# Persisted score caches
+# GCT-only versions: what an update ack writes
 # ----------------------------------------------------------------------
-class TestPersistedScores:
-    def test_hot_thresholds_survive_a_warm_restart(self, tmp_path):
-        """The tentpole storage claim: persisted score caches re-seed on
-        warm start, so hot thresholds restart warm (search_space 0)."""
-        graph = _random_graph(20, 0.35, 13)
+def _raw_record(store, snapshot):
+    """The manifest record ``snapshot`` is persisted as, read off disk."""
+    manifest = json.loads((store.root / "manifest.json").read_text())
+    return manifest["graphs"][snapshot.key]["versions"][str(snapshot.version)]
+
+
+def _edge_batches(graph, seed, count):
+    """``count`` batches of one delete + one insert, each valid on the
+    graph the earlier ones left."""
+    rng = random.Random(seed)
+    graph = graph.copy()
+    for _ in range(count):
+        vertices = list(graph.vertices())
+        u, v = rng.choice(sorted(graph.edges(), key=repr))
+        absent = [(a, b) for i, a in enumerate(vertices)
+                  for b in vertices[i + 1:] if not graph.has_edge(a, b)]
+        x, y = rng.choice(absent)
+        graph.remove_edge(u, v)
+        graph.add_edge(x, y)
+        yield [delete(u, v), insert(x, y)]
+
+
+class TestGctOnlyVersions:
+    def test_no_hybrid_recompute_on_an_ack(self, tmp_path, monkeypatch):
+        """A store seeded with tsd, gct and hybrid (``QueryEngine.persist``,
+        as ``serve-build`` once wrote it) serves updates without ever
+        recomputing hybrid rankings, and each ack's version holds the
+        GCT alone."""
+        graph = _random_graph(30, 0.3, 5)
         store = IndexStore(tmp_path / "store")
-        first = DiversityService.start(graph, store=store)
-        expected = {k: _ranked(first.top_r(k, 9)) for k in (3, 4)}
-        assert first.persist_scores() == [3, 4]
+        assert QueryEngine(graph).persist(store).artifact_names == \
+            ["tsd", "gct", "hybrid"]
+        service = DiversityService.warm(graph, IndexStore(store.root))
 
-        revived = DiversityService.start(graph,
-                                         store=IndexStore(tmp_path / "store"))
-        assert revived.warm_started
-        assert revived.snapshot.cached_thresholds() == [3, 4]
-        for k in (3, 4):
-            result = revived.top_r(k, 9)
-            assert result.search_space == 0  # served from the seeded cache
-            assert _ranked(result) == expected[k]
-        # Un-persisted thresholds still compute exactly.
-        assert _ranked(revived.top_r(5, 9)) == \
-            _ranked(online_search(graph, 5, 9))
+        def refuse(*args, **kwargs):
+            raise AssertionError("hybrid rankings recomputed on an ack")
 
-    def test_persist_scores_requires_a_store(self, figure1):
-        service = DiversityService.start(figure1)
-        with pytest.raises(StoreError):
-            service.persist_scores()
-
-    def test_update_re_version_carries_retained_scores_to_disk(
-            self, tmp_path):
-        """apply_updates persists the surviving cache entries with the
-        new version, so a restart after an update is warm for them."""
-        graph = _two_cliques()
-        store = IndexStore(tmp_path / "store")
-        service = DiversityService.start(graph, store=store)
-        for k in (2, 3, 4):
-            service.top_r(k, 9)
-        service.apply_updates([delete("b2", "b3")])  # drops k=3 only
-
+        monkeypatch.setattr(HybridSearcher, "precompute", refuse)
+        for batch in _edge_batches(graph, 6, 3):
+            for k in (3, 4):
+                service.top_r(k, 5)  # memoised thresholds, as when served
+            service.apply_updates(batch)
+            record = _raw_record(service.store, service.snapshot)
+            assert set(record) - {"parent"} == {"gct"}, record
         mutated = service.snapshot.graph
-        revived = DiversityService.warm(mutated,
-                                        IndexStore(tmp_path / "store"))
-        assert revived.snapshot.cached_thresholds() == [2, 4]
-        assert revived.top_r(2, 9).search_space == 0
-        for k in (2, 3, 4):
-            assert _ranked(revived.top_r(k, 9)) == \
-                _ranked(online_search(mutated, k, 9)), k
+        for k, r in GRID:
+            assert _ranked(service.top_r(k, r)) == \
+                _ranked(online_search(mutated, k, r)), (k, r)
 
-    def test_scores_payload_round_trip(self):
-        from repro.service import scores_from_payload, scores_to_payload
-        snap = Snapshot.build(_two_cliques())
-        snap.top_r(3, 4)
-        entries = snap.score_entries()
-        restored = scores_from_payload(
-            json.loads(json.dumps(scores_to_payload(entries))))
-        assert sorted(restored) == sorted(entries)
-        for k, (score_map, ranking) in entries.items():
-            assert restored[k][0] == score_map
-            assert restored[k][1] == ranking
-        with pytest.raises(InvalidParameterError):
-            scores_from_payload({"format": "something-else"})
+    def test_cold_start_persists_the_gct_alone(self, tmp_path):
+        graph = _two_cliques()
+        service = DiversityService.start(graph,
+                                         store=IndexStore(tmp_path / "s"))
+        assert set(_raw_record(service.store, service.snapshot)) == {"gct"}
+        assert service.snapshot.tsd is None
+
+    def test_a_gct_less_version_starts_cold_and_gains_one(self, tmp_path):
+        """A library caller may store a TSD alone; serving that content
+        builds (and stores) the GCT once instead of failing."""
+        graph = _two_cliques()
+        store = IndexStore(tmp_path / "s")
+        QueryEngine(graph).persist(store, artifacts=("tsd",))
+        with pytest.raises(StoreError):
+            DiversityService.warm(graph, store)
+        first = DiversityService.start(graph, store=store)
+        assert not first.warm_started
+        assert store.current(graph).artifact_names == ["tsd", "gct"]
+        again = DiversityService.start(graph, store=IndexStore(store.root))
+        assert again.warm_started
+        assert _ranked(again.top_r(3, 9)) == \
+            _ranked(online_search(graph, 3, 9))
+
+
+# ----------------------------------------------------------------------
+# Stores an older release's service wrote: tsd, hybrid, scores.json
+# ----------------------------------------------------------------------
+#: The persisted score cache an older release wrote per version.
+_LEGACY_SCORES_FORMAT = "repro-snapshot-scores"
+
+
+class TestLegacyServedStores:
+    """A store as an older release left it: each version beside ``gct``
+    names ``tsd``/``hybrid`` and a ``scores.json`` score cache.  The
+    head is a cross-lineage update version whose binary artifacts are
+    deltas on the seeded first version's."""
+
+    KS = (3, 4, 5, 6)
+
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        graph = _random_graph(40, 0.25, 31)
+        root = tmp_path / "store"
+        store = IndexStore(root)
+        first = QueryEngine(graph).persist(store)  # tsd, gct, hybrid
+        batch = next(_edge_batches(graph, 32, 1))
+        head_snapshot, report = apply_batch(Snapshot.build(graph), batch)
+        head_graph = head_snapshot.graph
+        tsd = TSDIndex.build(head_graph)
+        head = store.put(head_graph, tsd=tsd, gct=GCTIndex.compress(tsd),
+                         hybrid=HybridSearcher.precompute(head_graph,
+                                                          index=tsd),
+                         previous=first,
+                         changed_vertices=report.affected_vertices)
+        manifest_path = root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for version, g in ((first, graph), (head, head_graph)):
+            relpath = f"objects/{version.key}/v{version.version}/scores.json"
+            thresholds = {}
+            for k in (3, 4):
+                ranked = online_search(g, k, g.num_vertices)
+                thresholds[str(k)] = [list(pair) for pair in zip(
+                    ranked.vertices, ranked.scores)]
+            (root / relpath).write_text(json.dumps(
+                {"format": _LEGACY_SCORES_FORMAT, "version": 1,
+                 "thresholds": thresholds}), encoding="utf-8")
+            manifest["graphs"][version.key]["versions"][
+                str(version.version)]["scores"] = relpath
+        manifest_path.write_text(json.dumps(manifest, indent=2),
+                                 encoding="utf-8")
+        return root, head_graph
+
+    def _assert_ranks_like_a_cold_build(self, service, graph):
+        cold = Snapshot.build(graph)
+        n = graph.num_vertices
+        for k in self.KS:
+            for r in (1, 5, n):
+                assert _ranked(service.top_r(k, r)) == \
+                    _ranked(cold.top_r(k, r)), (k, r)
+
+    def test_warm_starts_from_its_gct_with_zero_builds(self, legacy,
+                                                       monkeypatch):
+        from repro import build
+        root, graph = legacy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm start built or decoded an index")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(build, "build_indexes", refuse)
+            patch.setattr(TSDIndex, "__init__", refuse)
+            patch.setattr(GCTIndex, "build", refuse)
+            patch.setattr(GCTIndex, "compress", refuse)
+            patch.setattr(HybridSearcher, "from_payload", refuse)
+            patch.setattr(HybridSearcher, "precompute", refuse)
+            service = DiversityService.start(graph, store=IndexStore(root))
+        assert service.warm_started
+        assert service.snapshot.cached_thresholds() == []  # none persisted
+        self._assert_ranks_like_a_cold_build(service, graph)
+
+    def test_first_batch_is_a_gct_delta_on_the_legacy_base(self, legacy):
+        from repro.storage import ArtifactReader
+        from repro.storage.writer import write_delta
+        root, graph = legacy
+        service = DiversityService.warm(graph, IndexStore(root))
+        base = service.store.current(graph)
+        assert base.artifact_names == ["tsd", "gct", "hybrid"]
+        report = service.apply_updates(next(_edge_batches(graph, 33, 1)))
+        after = service.store.current(service.snapshot.graph_view,
+                                      key=service.snapshot.key)
+        assert set(_raw_record(service.store, service.snapshot)) == \
+            {"gct", "parent"}
+        reference = root.parent / "reference-gct.bin"
+        assert write_delta(root / base.artifacts["gct"], reference,
+                           service.snapshot.gct.to_payload(),
+                           report.affected_vertices, fingerprint=after.key)
+        assert (root / after.artifacts["gct"]).read_bytes() == \
+            reference.read_bytes()
+        with ArtifactReader(root / after.artifacts["gct"]) as reader:
+            assert reader.stats()["dead_bytes"] > 0  # a delta, not a rewrite
+        self._assert_ranks_like_a_cold_build(service,
+                                             service.snapshot.graph)
+
+    def test_compact_reclaims_the_legacy_files(self, legacy):
+        root, graph = legacy
+        store = IndexStore(root)
+        report = store.compact()
+        assert report.reclaimed_bytes > 0
+        assert not list(root.rglob("scores.json"))
+        manifest = json.loads((root / "manifest.json").read_text())
+        records = [record for entry in manifest["graphs"].values()
+                   for record in entry["versions"].values()]
+        assert records and all("scores" not in record for record in records)
+        service = DiversityService.start(graph, store=IndexStore(root))
+        assert service.warm_started
+        self._assert_ranks_like_a_cold_build(service, graph)
+
+        # Once an ack supersedes the legacy head, its tsd and hybrid go.
+        service.apply_updates(next(_edge_batches(graph, 34, 1)))
+        assert IndexStore(root).compact().reclaimed_bytes > 0
+        assert sorted(p.name for p in (root / "objects").rglob("*")
+                      if p.is_file()) == ["gct.bin"]
+        revived = DiversityService.start(service.snapshot.graph,
+                                         store=IndexStore(root))
+        assert revived.warm_started
+        self._assert_ranks_like_a_cold_build(revived,
+                                             service.snapshot.graph)
+
+    def test_replicates_to_a_follower_that_warm_starts(self, legacy):
+        from repro.replication import replicate_store
+        root, graph = legacy
+        follower = root.parent / "follower"
+        replicate_store(root, follower)
+        replica = DiversityService.warm(graph, IndexStore(follower))
+        self._assert_ranks_like_a_cold_build(replica, graph)
+
+        service = DiversityService.warm(graph, IndexStore(root))
+        service.apply_updates(next(_edge_batches(graph, 35, 1)))
+        report = replicate_store(root, follower)
+        assert (report.files_full, report.files_delta) == (0, 1)  # gct
+        mutated = service.snapshot.graph
+        replica = DiversityService.warm(mutated, IndexStore(follower))
+        assert replica.snapshot.version == service.snapshot.version
+        self._assert_ranks_like_a_cold_build(replica, mutated)

@@ -36,7 +36,6 @@ from repro.core.tsd import TSDIndex
 from repro.datasets.synthetic import add_planted_cliques, erdos_renyi
 from repro.errors import ArtifactFormatError, StoreError
 from repro.graph.graph import Graph
-from repro.service.snapshot import SCORES_FORMAT
 from repro.storage import (
     HEADER_SIZE,
     ArtifactReader,
@@ -575,7 +574,7 @@ class TestStoreArtifacts:
         service.apply_updates([("delete", edge[0], edge[1])])
         version = store.current(service.snapshot.graph_view,
                                 key=service.snapshot.key)
-        with ArtifactReader(store.root / version.artifacts["tsd"]) as r:
+        with ArtifactReader(store.root / version.artifacts["gct"]) as r:
             assert r.stats()["dead_bytes"] > 0
             r.verify_checksum()
         after = service.top_r(3, graph.num_vertices)
@@ -595,7 +594,7 @@ class TestStoreArtifacts:
         IndexStore(tmp_path).compact(keep=[key])
         store2 = IndexStore(tmp_path)
         version = store2.current(service.snapshot.graph_view, key=key)
-        with ArtifactReader(store2.root / version.artifacts["tsd"]) as r:
+        with ArtifactReader(store2.root / version.artifacts["gct"]) as r:
             assert r.stats()["dead_bytes"] == 0
             r.verify_checksum()
 
@@ -645,12 +644,12 @@ class TestRestrictedDeltaWrites:
         return service.store.current(snapshot.graph_view, key=snapshot.key)
 
     def _indexes(self, service):
-        return (("tsd", service.snapshot.tsd), ("gct", service.snapshot.gct))
+        return (("gct", service.snapshot.gct),)
 
     def test_store_deltas_equal_deltas_over_the_full_payload(self, graph,
                                                              tmp_path):
-        """Over a seeded batch sequence every ``tsd.bin``/``gct.bin``
-        the store writes from ``to_payload(only=changed)`` is byte for
+        """Over a seeded batch sequence every ``gct.bin`` the store
+        writes from ``to_payload(only=changed)`` is byte for
         byte what ``write_delta`` makes of the complete payload."""
         from repro.service import DiversityService
         from repro.service.store import IndexStore
@@ -759,8 +758,7 @@ class TestRestrictedDeltaWrites:
         store = IndexStore(tmp_path)
         service = DiversityService.start(graph, store=store)
         before = self._current(service)
-        for name in ("tsd", "gct"):
-            (store.root / before.artifacts[name]).unlink()
+        (store.root / before.artifacts["gct"]).unlink()
         service.apply_updates(self._batch(graph, random.Random(44)))
         after = self._current(service)
         for name, index in self._indexes(service):
@@ -768,8 +766,9 @@ class TestRestrictedDeltaWrites:
                 encode_artifact(index.to_payload(), fingerprint=after.key)
 
     def test_legacy_json_base_gets_a_full_bin_write(self, tmp_path):
-        """A JSON tsd/gct from an older release has no record dictionary
-        to patch: the first batch writes complete ``.bin`` artifacts."""
+        """A JSON gct from an older release has no record dictionary to
+        patch: the first batch writes a complete ``.bin`` GCT, and the
+        legacy ``tsd``/``hybrid`` are not carried into the new version."""
         from repro.graph.io import read_edge_list
         from repro.service import DiversityService
         from repro.service.store import IndexStore
@@ -777,9 +776,10 @@ class TestRestrictedDeltaWrites:
         graph = read_edge_list(graph_file)
         service = DiversityService.warm(graph, IndexStore(root))
         before = self._current(service)
-        assert before.artifacts["tsd"].endswith(".json")
+        assert before.artifacts["gct"].endswith(".json")
         service.apply_updates(self._batch(graph, random.Random(45)))
         after = self._current(service)
+        assert after.artifact_names == ["gct"]
         for name, index in self._indexes(service):
             assert after.artifacts[name].endswith(f"{name}.bin")
             assert (root / after.artifacts[name]).read_bytes() == \
@@ -798,11 +798,11 @@ class TestRestrictedDeltaWrites:
         store = IndexStore(tmp_path)
         warm = DiversityService.warm(graph, store)
         held = warm.snapshot
-        assert held.tsd._weights is None and held.gct._tau_sorted is None
+        assert held.gct._tau_sorted is None
 
         def look():
-            answers = [index.top_r(k, 30, collect_contexts=False)
-                       for k in (2, 3, 4) for index in (held.tsd, held.gct)]
+            answers = [held.gct.top_r(k, 30, collect_contexts=False)
+                       for k in (2, 3, 4)]
             return [(a.vertices, a.scores) for a in answers]
 
         seen = look()
@@ -832,7 +832,7 @@ class TestRestrictedDeltaWrites:
             with ArtifactReader(store.root / after.artifacts[name]) as r:
                 assert r.stats()["dead_bytes"] > 0
 
-        assert held.tsd._weights is None and held.gct._tau_sorted is None
+        assert held.gct._tau_sorted is None
         assert look() == seen
 
 
@@ -862,14 +862,14 @@ class TestLegacyJsonStore:
         graph, root = legacy
         warm = DiversityService.warm(graph, IndexStore(root))
         assert warm.warm_started
-        assert isinstance(warm.snapshot.tsd._forests, dict)  # eager
+        assert isinstance(warm.snapshot.gct._supernodes, dict)  # eager
         assert warm.top_r(4, 1).vertices == [LEGACY_V]
         self._assert_ranks_like_a_cold_build(graph, warm)
 
     def test_convert_migrates_to_bin_once(self, legacy):
         from repro.service import DiversityService
         from repro.service.store import IndexStore
-        from repro.storage.lazy import LazyForestMap
+        from repro.storage.lazy import LazySupernodeMap
         graph, root = legacy
         assert IndexStore(root).convert() == 3  # v1 tsd + gct, v2 gct
         store = IndexStore(root)
@@ -883,7 +883,7 @@ class TestLegacyJsonStore:
         assert sorted(p.name for p in root.rglob("*.json")) == \
             ["hybrid.json", "manifest.json"]  # legacy files unlinked
         warm = DiversityService.warm(graph, store)
-        assert isinstance(warm.snapshot.tsd._forests, LazyForestMap)
+        assert isinstance(warm.snapshot.gct._supernodes, LazySupernodeMap)
         self._assert_ranks_like_a_cold_build(graph, warm)
         assert IndexStore(root).convert() == 0  # nothing left to migrate
 
@@ -903,22 +903,17 @@ class TestLegacyJsonStore:
         assert (root / v2.artifacts["tsd"]).is_file()
 
     @pytest.mark.parametrize("name, payload", [
-        ("scores", {"format": SCORES_FORMAT, "version": 1,
-                    "thresholds": {"3": [["v"]]}}),
-        ("scores", {"format": "nope"}),
         ("hybrid", {"format": "nope"}),
         ("tsd", {"format": "nope"}),
         ("gct", ["not", "a", "payload"]),
-    ], ids=["scores-row", "scores-format", "hybrid", "tsd", "gct"])
+    ], ids=["hybrid", "tsd", "gct"])
     def test_damaged_artifacts_raise_store_errors(self, legacy, name,
                                                   payload):
         """Every artifact decode in ``load`` fails typed, naming the
         file — never a bare ValueError or a foreign error class."""
-        from repro.service.snapshot import scores_to_payload
         from repro.service.store import IndexStore
         graph, root = legacy
         store = IndexStore(root)
-        store.put_scores(graph, scores_to_payload({3: ({}, [])}))
         path = root / store.current(graph).artifacts[name]
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(StoreError, match=re.escape(str(path))):

@@ -5,7 +5,7 @@ PR 3 gave the store an on-disk ``flock`` + manifest re-read so that two
 cluster now makes that scenario routine (every worker owns a store
 root, operators point tools at them), so this test drives it with real
 processes — not threads, which the in-process mutex alone would save —
-hammering ``put`` / ``put_scores`` / ``compact`` on one shared root.
+hammering ``put`` / ``compact`` on one shared root.
 
 Invariants checked after the dust settles:
 
@@ -37,9 +37,9 @@ import json, sys, time
 from pathlib import Path
 
 from repro.graph.graph import Graph
+from repro.core.gct import GCTIndex
 from repro.core.tsd import TSDIndex
 from repro.service import IndexStore
-from repro.service.snapshot import scores_to_payload
 
 root, worker, iterations, go_file = (
     sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4])
@@ -58,7 +58,7 @@ def own_graph():
 
 shared, mine = shared_graph(), own_graph()
 shared_tsd, my_tsd = TSDIndex.build(shared), TSDIndex.build(mine)
-scores = scores_to_payload({3: ({0: 1}, [(0, 1)])})
+my_gct = GCTIndex.compress(my_tsd)
 store = IndexStore(root)
 
 while not Path(go_file).exists():  # start line: maximise overlap
@@ -66,8 +66,7 @@ while not Path(go_file).exists():  # start line: maximise overlap
 
 for i in range(iterations):
     store.put(shared, tsd=shared_tsd)
-    version = store.put(mine, tsd=my_tsd)
-    store.put_scores(mine, scores, key=version.key)
+    store.put(mine, tsd=my_tsd, gct=my_gct)
     if i % 3 == worker:  # compaction passes interleave with puts
         store.compact()
 
@@ -125,7 +124,7 @@ def test_two_processes_hammering_one_store_root(tmp_path):
     manifest = json.loads((root / "manifest.json").read_text())
     for entry in manifest["graphs"].values():
         for record in entry["versions"].values():
-            for name in ("tsd", "gct", "hybrid", "scores"):
+            for name in ("tsd", "gct", "hybrid"):
                 if name in record:
                     assert (root / record[name]).is_file(), record[name]
 
@@ -134,16 +133,15 @@ def test_single_process_writers_unaffected_by_stress_shape(tmp_path):
     """The stress scenario, minus concurrency: the same op sequence in
     one process yields the same invariants (guards against the test
     passing only because of scheduling accidents)."""
+    from repro.core.gct import GCTIndex
     from repro.core.tsd import TSDIndex
-    from repro.service.snapshot import scores_to_payload
 
     store = IndexStore(tmp_path / "store")
     shared = Graph(edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
     tsd = TSDIndex.build(shared)
-    scores = scores_to_payload({3: ({0: 1}, [(0, 1)])})
+    gct = GCTIndex.compress(tsd)
     for i in range(ITERATIONS):
-        version = store.put(shared, tsd=tsd)
-        store.put_scores(shared, scores, key=version.key)
+        store.put(shared, tsd=tsd, gct=gct)
         if i % 3 == 0:
             store.compact()
     assert store.current(shared).version == ITERATIONS
