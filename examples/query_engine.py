@@ -8,7 +8,7 @@ built for:
 
 1. a one-shot query (planner picks an online scan — no index build),
 2. repeated traffic (planner builds the GCT index once and amortises),
-3. a batch with repeated thresholds (score-map cache shared across
+3. a batch with repeated thresholds (per-k ranking cache shared across
    items),
 4. explicit method overrides and point lookups.
 
@@ -37,7 +37,7 @@ def main() -> None:
     print(f"\nRepeat query:     {result.summary()}")
     print(f"  planner said:   {engine.stats().decisions[-1]}")
 
-    # --- 3. batch: one planner decision, shared score-map cache ------
+    # --- 3. batch: one planner decision, shared ranking cache --------
     workload = [(3, 5), (4, 10), (3, 20), (5, 5), (4, 3)]
     results = engine.top_r_many(workload)
     print("\nBatch of 5:")

@@ -34,11 +34,7 @@ from repro.graph.graph import Graph, Vertex, Edge
 from repro.graph.egonet import iter_ego_edge_lists
 from repro.truss.bitmap_decomposition import bitmap_truss_decomposition
 from repro.core.bounds import count_at_least
-from repro.core.results import (
-    SearchResult,
-    build_entries,
-    canonical_zero_fill,
-)
+from repro.core.results import SearchResult, build_entries
 from repro.core.tsd import (
     BuildProfile,
     ForestEdge,
@@ -193,15 +189,17 @@ class GCTIndex:
     >>> index.score("v", 4)
     3
 
-    Whole-graph answers (:meth:`top_r`, :meth:`ranking`,
-    :meth:`scores_for_all`) are read off *score postings*: per
-    threshold, the vertices scoring > 0 with their scores, derived from
-    the Lemma-3 columns by the first scan of an index object and handed
-    on, patched, to its :meth:`successor`.  Point lookups
-    (:meth:`score`, :meth:`score_profile`, :meth:`contexts`) read the
-    per-vertex columns and records.
+    Whole-graph answers are read off *score postings*: per threshold,
+    the vertices scoring > 0 with their scores, derived from the Lemma-3
+    columns by the first scan of an index object and handed on, patched,
+    to its :meth:`successor`.  A served answer is a prefix of
+    :meth:`positive_ranking` completed by :meth:`zero_filled`, in
+    O(postings_k + r); :meth:`ranking` and :meth:`scores_for_all` cover
+    all n vertices, for analysis.  Point lookups (:meth:`score`,
+    :meth:`score_profile`, :meth:`contexts`) read the per-vertex
+    columns and records.
 
-    >>> index.ranking(4)[:3]    # all 17 vertices: score, then insertion
+    >>> index.positive_ranking(4)[:3]   # score, then insertion order
     [('v', 3), ('x1', 1), ('x2', 1)]
     """
 
@@ -246,10 +244,10 @@ class GCTIndex:
         # a published snapshot need no lock: racing derivations are
         # redundant but identical (the idiom of ``Snapshot._scores``).
         self._postings: Optional[Postings] = postings
-        # The ``(vertex, 0)`` rows every ranking's zero tail is made of,
-        # one per vertex in graph order: built by the first
-        # :meth:`ranking`, published and handed on like the postings, so
-        # a ranking allocates its positive rows only.
+        # The ``(vertex, 0)`` rows every zero tail is made of, one per
+        # vertex in graph order: built by the first :meth:`zero_filled`
+        # asked past its ranked rows, published and handed on like the
+        # postings, so an answer allocates its positive rows only.
         self._zero_rows: Optional[List[Tuple[Vertex, int]]] = None
         self.build_profile = build_profile
 
@@ -461,24 +459,35 @@ class GCTIndex:
         """Social contexts from the supernode forest.
 
         Supernodes with trussness ≥ ``k`` are grouped by superedges of
-        weight ≥ ``k``; each group's member union is one context.
+        weight ≥ ``k``; each group's member union is one context, in
+        order of the group's first supernode.  A superedge's weight is
+        at most both endpoints' taus, so those superedges only ever
+        join qualifying supernodes.
         """
         self._check_k(k)
-        self._check_vertex(v)
-        qualifying = [i for i, (tau, _) in enumerate(self._supernodes[v])
-                      if tau >= k]
-        dsu: DisjointSet = DisjointSet(qualifying)
-        for i, j, weight in self._superedges[v]:
+        try:
+            if self._tau_sorted is None:    # lazy provider: one fetch
+                nodes, edges = self._supernodes.record(v)
+            else:
+                nodes, edges = self._supernodes[v], self._superedges[v]
+        except KeyError:
+            raise InvalidParameterError(
+                f"vertex {v!r} is not in the GCT-index") from None
+        parent = list(range(len(nodes)))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]   # path halving
+            return i
+
+        for i, j, weight in edges:
             if weight >= k:
-                dsu.union(i, j)
-        contexts: List[Set[Vertex]] = []
-        nodes = self._supernodes[v]
-        for group in dsu.components():
-            context: Set[Vertex] = set()
-            for i in group:
-                context.update(nodes[i][1])
-            contexts.append(context)
-        return contexts
+                parent[root(i)] = root(j)
+        contexts: Dict[int, Set[Vertex]] = {}
+        for i, (tau, members) in enumerate(nodes):
+            if tau >= k:
+                contexts.setdefault(root(i), set()).update(members)
+        return list(contexts.values())
 
     def _summaries(self) -> Iterator[Tuple[int, Sequence[int],
                                             Sequence[int]]]:
@@ -524,6 +533,45 @@ class GCTIndex:
                 for j in heapq.nlargest(r, range(len(positions)),
                                         key=scores.__getitem__)]
 
+    def positive_ranking(self, k: int) -> List[Tuple[Vertex, int]]:
+        """The ``postings_k`` vertices scoring > 0 at ``k`` with their
+        scores, in canonical order (descending score, ties in graph
+        insertion order) — what a serving memo keeps per threshold."""
+        self._check_k(k)
+        return self._best(k, len(self._vertices))
+
+    def zero_filled(self, k: int, ranked: List[Tuple[Vertex, int]],
+                    r: int) -> List[Tuple[Vertex, int]]:
+        """The canonical top-``r`` at ``k``: the first ``r`` rows of
+        ``ranked`` (a prefix of :meth:`positive_ranking`, complete when
+        shorter than ``r``), then zero-score vertices in graph order up
+        to ``min(r, n)`` rows — the index's shared ``(vertex, 0)`` rows
+        below the ``k``-postings positions they skip, so
+        O(postings_k + r) and no new row."""
+        answer = ranked[:r]
+        if len(answer) == r:
+            return answer
+        zero_rows = self._zero_rows
+        if zero_rows is None:   # atomic publish, like the postings
+            zero_rows = self._zero_rows = [(v, 0) for v in self._vertices]
+        positions = self._postings_at(k)[0]
+        missing = min(r, len(zero_rows)) - len(answer)
+        # The zeros are the first ``stop`` rows minus the ``below``
+        # positive ones among them: the least fixed point of
+        # stop = missing + |{positions < stop}|.
+        stop, below = missing, bisect_left(positions, missing)
+        while missing + below != stop:
+            stop = missing + below
+            below = bisect_left(positions, stop)
+        if not below:
+            answer += zero_rows[:stop]
+        else:
+            keep = bytearray(b"\x01") * stop
+            for i in positions[:below]:
+                keep[i] = 0
+            answer += compress(zero_rows, keep)
+        return answer
+
     def scores_for_all(self, k: int) -> Dict[Vertex, int]:
         """``score(v)`` for every indexed vertex at one threshold, keyed
         in graph insertion order — the batch scoring path the
@@ -540,23 +588,9 @@ class GCTIndex:
         """Every indexed vertex with its score at ``k``, in canonical
         order: descending score, ties (the zero tail included) in graph
         insertion order.  ``top_r(k, r)`` is its first ``r`` entries.
-
-        The zero tail is the index's shared ``(vertex, 0)`` rows minus
-        the postings' positions: n fresh tuples per call would be n
-        collector-tracked allocations, and on a server the full GC
-        cycles they trigger land on reads.
         """
-        self._check_k(k)
-        positions, _ = self._postings_at(k)
-        zero_rows = self._zero_rows
-        if zero_rows is None:   # atomic publish, like the postings
-            zero_rows = self._zero_rows = [(v, 0) for v in self._vertices]
-        in_tail = bytearray(b"\x01") * len(zero_rows)
-        for i in positions:
-            in_tail[i] = 0
-        ranked = self._best(k, len(positions))
-        ranked.extend(compress(zero_rows, in_tail))
-        return ranked
+        return self.zero_filled(k, self.positive_ranking(k),
+                                len(self._vertices))
 
     def score_profile(self, v: Vertex) -> Dict[int, int]:
         """``score(v)`` for every ``k`` from 2 to the max supernode tau."""
@@ -576,7 +610,7 @@ class GCTIndex:
             raise InvalidParameterError(f"r must be >= 1, got {r}")
         start = time.perf_counter()
         r = min(r, max(len(self._vertices), 1))
-        ranked = canonical_zero_fill(self._best(k, r), r, self._vertices)
+        ranked = self.zero_filled(k, self._best(k, r), r)
         entries = build_entries(
             ranked, lambda v: self.contexts(v, k), collect_contexts)
         return SearchResult(

@@ -7,8 +7,8 @@ methods, for services answering repeated ``top_r``/``score`` traffic:
   the graph and its lazily built indexes;
 * :mod:`repro.engine.planner` — the cost-based method chooser
   (:class:`QueryPlanner`, :class:`EngineConfig`);
-* :mod:`repro.engine.cache` — the per-``k`` LRU of score maps and
-  canonical rankings (:class:`ScoreMapCache`);
+* :mod:`repro.engine.cache` — the per-``k`` LRU of ranked positive
+  rows (:class:`ScoreMapCache`);
 * :mod:`repro.engine.batch` — order-preserving batch execution.
 
 All methods agree on answers by the canonical ranking contract

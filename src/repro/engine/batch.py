@@ -3,9 +3,9 @@
 A batch ``[(k1, r1), (k2, r2), ...]`` is the engine's highest-leverage
 workload: the planner decides *once* for the whole batch (a batch is by
 definition repeated traffic, so it almost always lands on the index),
-and items that share a threshold ``k`` reuse one score map and one
-canonical ranking from the engine's LRU cache — the second ``(k, r')``
-at the same ``k`` is a list slice.
+and items that share a threshold ``k`` reuse one memoised ranking (the
+threshold's positive rows in canonical order) from the engine's LRU
+cache — the second ``(k, r')`` at the same ``k`` is a list slice.
 
 Items are executed grouped by ``k`` so a batch with more distinct
 thresholds than the cache holds cannot thrash the LRU, but results are
@@ -41,7 +41,7 @@ def execute_batch(engine, queries: Sequence[Tuple[int, int]],
     if not queries:
         return []
     resolved = engine._resolve(method, batch_size=len(queries))
-    # Group same-k items (stable within a threshold) so each score map
+    # Group same-k items (stable within a threshold) so each ranking
     # is computed at most once even when distinct thresholds exceed the
     # cache capacity; original positions restore the input order.
     order = sorted(range(len(queries)), key=lambda i: queries[i][0])

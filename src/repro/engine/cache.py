@@ -1,15 +1,15 @@
-"""Per-``k`` LRU cache of score maps and canonical rankings.
+"""Per-``k`` LRU cache of ranked positive rows.
 
-The parameter-free indexes answer *any* ``k``, but a top-r query at one
-threshold still has to score every vertex and sort.  Production traffic
-repeats thresholds heavily (a service typically exposes a handful of
-``k`` presets), so the engine memoises, per ``k``:
-
-* the full score map ``{vertex: score}`` — reused by :meth:`score`
-  point lookups and by every batch item at the same threshold, and
-* the canonical ranking (vertices sorted by descending score, ties by
-  graph insertion order) — so a repeated ``top_r`` is a slice, not a
-  sort.
+The parameter-free indexes answer *any* ``k``, but reading a threshold
+off the GCT score postings still sorts its positive rows.  Production
+traffic repeats thresholds heavily (a service typically exposes a
+handful of ``k`` presets), so the engine memoises, per ``k``, the
+vertices that score > 0 with their scores in canonical order
+(descending score, ties by graph insertion order) — so a repeated
+``top_r`` is a slice, not a sort.  The entry holds ``postings_k`` rows,
+not one per vertex: a longer answer is completed with zero-score
+vertices by :meth:`~repro.core.gct.GCTIndex.zero_filled`, and point
+lookups go to the index (Lemma 3), not to the memo.
 
 Entries are evicted least-recently-used once ``maxsize`` distinct
 thresholds are live.  The cache is shared across single queries and
@@ -25,12 +25,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Vertex
 
-#: One cached threshold: the score map and the canonical ranking.
-CacheEntry = Tuple[Dict[Vertex, int], List[Tuple[Vertex, int]]]
+#: One cached threshold: its positive ``(vertex, score)`` rows, ranked.
+CacheEntry = List[Tuple[Vertex, int]]
 
 
 class ScoreMapCache:
-    """LRU mapping ``k`` → (score map, canonical ranking)."""
+    """LRU mapping ``k`` → ranked positive rows."""
 
     def __init__(self, maxsize: int = 8) -> None:
         if maxsize < 1:
@@ -66,20 +66,19 @@ class ScoreMapCache:
         self.hits += 1
         return entry
 
-    def put(self, k: int, score_map: Dict[Vertex, int],
-            ranking: List[Tuple[Vertex, int]]) -> None:
+    def put(self, k: int, ranked: CacheEntry) -> None:
         """Install the entry for ``k``, evicting the LRU beyond capacity."""
-        self._entries[k] = (score_map, ranking)
+        self._entries[k] = ranked
         self._entries.move_to_end(k)
         while len(self._entries) > self._maxsize:
             self._entries.popitem(last=False)
 
     def entries(self) -> Dict[int, CacheEntry]:
-        """Every live entry as ``k`` → (score map, ranking), a shallow
-        copy — the snapshot hand-off reads the cache without touching
-        recency or the hit/miss statistics."""
+        """Every live entry as ``k`` → ranked rows, a shallow copy — the
+        snapshot hand-off reads the cache without touching recency or
+        the hit/miss statistics."""
         return dict(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (graph mutation invalidates all score maps)."""
+        """Drop every entry (graph mutation invalidates all of them)."""
         self._entries.clear()

@@ -13,9 +13,11 @@ a matter of cost.  The engine:
 * routes ``method="auto"`` through the cost-based
   :class:`~repro.engine.planner.QueryPlanner` (explicit method names
   override it);
-* memoises per-``k`` score maps and canonical rankings in an LRU
+* memoises each threshold's ranked positive rows (the GCT score
+  postings in canonical order) in an LRU
   (:class:`~repro.engine.cache.ScoreMapCache`) shared across single
-  queries and batch items;
+  queries and batch items, and completes an answer past them with
+  zero-score vertices off the index — O(postings_k + r) per miss;
 * answers batches through :func:`repro.engine.batch.execute_batch`,
   which plans once for the whole batch and reuses the cache across
   items.
@@ -248,7 +250,7 @@ class QueryEngine:
         return self._hybrid
 
     def invalidate(self) -> None:
-        """Drop all indexes and cached score maps (graph was mutated).
+        """Drop all indexes and cached rankings (graph was mutated).
 
         The planner's cost calibration survives — measured build and
         query costs describe the hardware and graph scale, which a
@@ -296,7 +298,7 @@ class QueryEngine:
         """An immutable :class:`~repro.service.snapshot.Snapshot` of the
         engine's current state: a private graph copy, the GCT index
         (ensured — loaded, compressed or built now, never during a
-        reader's query), and the live score-map cache entries.
+        reader's query), and the live ranking cache entries.
 
         The hand-off is one-way: the snapshot serves concurrent readers
         lock-free while the engine remains free to mutate and rebuild.
@@ -329,8 +331,8 @@ class QueryEngine:
         """Answer a batch of ``(k, r)`` queries, amortising shared work.
 
         The planner decides once for the whole batch; items sharing a
-        threshold ``k`` reuse one cached score map and ranking.  Results
-        come back in input order.
+        threshold ``k`` reuse one cached ranking.  Results come back in
+        input order.
         """
         from repro.engine.batch import execute_batch
         return execute_batch(self, queries, method=method,
@@ -339,9 +341,11 @@ class QueryEngine:
     def score(self, v: Vertex, k: int) -> int:
         """``score(v)`` at threshold ``k``, from the cheapest source.
 
-        Prefers a cached score map, then a built index, and only falls
-        back to the from-scratch Algorithm 2 when the engine has built
-        nothing yet (a point lookup alone does not justify an index).
+        A built index answers (GCT: Lemma 3, two bisects); only an
+        engine that has built nothing yet falls back to the
+        from-scratch Algorithm 2 (a point lookup alone does not justify
+        an index).  Point lookups never touch the ranking cache or its
+        hit/miss counters.
         """
         if k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
@@ -349,9 +353,6 @@ class QueryEngine:
             raise InvalidParameterError(
                 f"vertex {v!r} is not in the engine's graph")
         self._point_lookups += 1
-        entry = self._cache.get(k)
-        if entry is not None:
-            return entry[0][v]
         if self._gct is not None:
             return self._gct.score(v, k)
         if self._tsd is not None:
@@ -444,36 +445,31 @@ class QueryEngine:
 
     def _serve_from_gct(self, k: int, r: int,
                         collect_contexts: bool) -> SearchResult:
-        """GCT answer through the per-``k`` score-map cache.
+        """GCT answer through the per-``k`` ranking cache.
 
-        On a cache miss the engine reads the threshold's score map and
-        canonical ranking off the index's score postings
-        (:meth:`GCTIndex.ranking`) and memoises both; on a hit the
-        answer is a slice of the cached ranking.  ``search_space``
-        reports the vertices scored: ``|V|`` on a miss, 0 on a hit.
-
-        The index is touched lazily: a cache hit with
-        ``collect_contexts=False`` needs no index at all, so it must
-        not trigger a build on an engine whose cache was seeded from
-        elsewhere (a warm-started store, a snapshot hand-off).
+        On a cache miss the engine reads the threshold's ranked positive
+        rows off the index's score postings
+        (:meth:`GCTIndex.positive_ranking`) and memoises them; on a hit
+        they are the cached list.  The answer is their first ``r`` rows,
+        completed past them with zero-score vertices by
+        :meth:`GCTIndex.zero_filled`.  ``search_space`` reports the
+        vertices scored: ``|V|`` on a miss, 0 on a hit.
         """
         start = time.perf_counter()
-        entry = self._cache.get(k)
-        if entry is None:
-            index = self.gct_index
-            score_map = index.scores_for_all(k)
-            ranking = index.ranking(k)
-            self._cache.put(k, score_map, ranking)
-            search_space = len(score_map)
+        ranked = self._cache.get(k)
+        n = self._graph.num_vertices
+        if ranked is None:
+            ranked = self.gct_index.positive_ranking(k)
+            self._cache.put(k, ranked)
+            search_space = n
         else:
-            _, ranking = entry
             search_space = 0
-        answer = ranking[:min(r, len(ranking))]
+        answer = self.gct_index.zero_filled(k, ranked, r)
         entries = build_entries(
             answer, lambda v: self.gct_index.contexts(v, k),
             collect_contexts)
         return SearchResult(
-            method="GCT", k=k, r=min(r, max(len(ranking), 1)),
+            method="GCT", k=k, r=min(r, max(n, 1)),
             entries=entries, search_space=search_space,
             elapsed_seconds=time.perf_counter() - start,
         )

@@ -53,8 +53,8 @@ class EngineConfig:
         this many queries, it builds the GCT index and serves from it;
         the build cost amortises across the repeated traffic.
     score_cache_size:
-        Number of distinct thresholds ``k`` whose score maps and
-        rankings stay memoised (LRU).
+        Number of distinct thresholds ``k`` whose ranked positive
+        rows stay memoised (LRU).
     build_jobs:
         Worker request forwarded to every index build the engine
         triggers (see :meth:`repro.build.BuildPlan.decide`): ``0`` (the

@@ -18,7 +18,9 @@ memo-hot query.  This module frames the same bytes with less work:
   error statuses, same keep-alive decision, same
   ``Expect: 100-continue``) and writes each response — status line,
   headers, body — in one send, saying ``Connection: close`` whenever
-  the handler will close;
+  the handler will close; a declared body length that is not a
+  non-negative integer up to :data:`MAX_BODY` is refused (400 or 413)
+  before any ``100 Continue`` and the body is never read;
 * :class:`Connection`, :func:`encode_request` and :func:`read_response`
   are the client half: a raw socket with its own receive buffer, one
   ``sendall`` per request, and a body delimited by Content-Length,
@@ -37,6 +39,7 @@ b'ok'
 
 from __future__ import annotations
 
+import json
 import socket
 import time
 from email.utils import formatdate
@@ -44,12 +47,14 @@ from functools import lru_cache
 from http.server import BaseHTTPRequestHandler
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.errors import InvalidParameterError
-
 #: The stdlib's framing limits (``http.client._MAXLINE`` and
 #: ``_MAXHEADERS``): longer lines and longer heads are refused.
 MAX_LINE = 65536
 MAX_HEADERS = 100
+#: The largest request body a handler reads (256 MiB: an inline graph
+#: registration is the largest body the cluster sends).  A longer
+#: declared body is refused with 413 and never read.
+MAX_BODY = 256 << 20
 
 _HEAD_END = (b"\r\n", b"\n", b"")
 #: Bytes a field name may hold (the email parser's header pattern:
@@ -210,29 +215,48 @@ class WireRequestHandler(BaseHTTPRequestHandler):
         elif connection == "keep-alive" \
                 and self.protocol_version >= "HTTP/1.1":
             self.close_connection = False
+        if not self._admit_body():
+            return False
         if headers.get("expect", "").lower() == "100-continue" \
                 and self.protocol_version >= "HTTP/1.1" \
                 and self.request_version >= "HTTP/1.1":
             return self.handle_expect_100()
         return True
 
+    def _admit_body(self) -> bool:
+        """Accept the declared body length, or refuse the request.
+
+        A length that is not a non-negative integer (400) or exceeds
+        :data:`MAX_BODY` (413) is answered at once — before any
+        ``100 Continue`` invites the body — and the connection closes
+        with the body unread.
+        """
+        raw = self.headers.get("content-length")
+        try:
+            self._body_length = length = int(raw or 0)
+        except ValueError:
+            length = -1
+        if 0 <= length <= MAX_BODY:
+            return True
+        self.close_connection = True
+        if length < 0:
+            status, error = 400, f"bad Content-Length header: {raw!r}"
+        else:
+            status, error = 413, (f"request body of {length} bytes "
+                                  f"exceeds the {MAX_BODY}-byte limit")
+        self._send(status, json.dumps({"error": error}).encode("utf-8"))
+        return False
+
     def _drain_body(self) -> bytes:
         """Read the declared request body unconditionally.
 
         Keep-alive requires it: a body left unread in the socket
         becomes the *next* request's request line, desyncing every
-        later exchange on the connection.
+        later exchange on the connection.  :meth:`_admit_body` has
+        already refused a length it must not read.
         """
-        raw = self.headers.get("content-length")
-        try:
-            length = int(raw or 0)
-        except ValueError:
-            # An undeclared body length cannot be drained, so the
-            # connection must not be reused after the 400.
-            self.close_connection = True
-            raise InvalidParameterError(
-                f"bad Content-Length header: {raw!r}") from None
-        return self.rfile.read(length) if length > 0 else b""
+        length = self._body_length
+        return self.rfile.read(length) if length else b""
 
     def _send(self, status: int, body: bytes,
               headers: Optional[Mapping[str, str]] = None) -> None:

@@ -1,22 +1,23 @@
-"""Immutable :class:`Snapshot`: graph + GCT index + score cache, read-only.
+"""Immutable :class:`Snapshot`: graph + GCT index + ranking memo, read-only.
 
 Concurrent serving needs one property above all: *nothing a reader
 touches may change under it*.  The snapshot delivers that by
 construction — it owns a graph no caller can mutate (a private copy,
 or for the update path's successors a branch sharing its predecessor's
 untouched adjacency sets), a fully built GCT index, and a per-``k``
-score-map cache, none of which are ever mutated after publication.  A
+ranking memo, none of which are ever mutated after publication.  A
 reader grabs a snapshot reference once (an atomic operation) and
 serves the whole query from it; writers
 (:mod:`repro.service.updates`) build a *new* snapshot and swap the
 reference, so readers in flight keep a consistent world and never wait
 on a lock.
 
-The internal mutations are memoisation: scoring a threshold ``k`` not
-yet cached installs the computed ``(score map, ranking)`` into a plain
-dict, and the first :attr:`Snapshot.content_key` read installs the
-graph's :class:`~repro.service.store.ContentKey`.  That is safe
-lock-free — each value is a pure function of the immutable graph and
+The internal mutations are memoisation: the first answer at a
+threshold ``k`` installs its ranked positive rows (the GCT score
+postings in canonical order, ``postings_k`` rows — not one per vertex)
+into a plain dict, and the first :attr:`Snapshot.content_key` read
+installs the graph's :class:`~repro.service.store.ContentKey`.  That is
+safe lock-free — each value is a pure function of the immutable graph and
 index, so concurrent computations are redundant but identical, and
 CPython attribute and dict assignment is atomic.
 
@@ -46,18 +47,22 @@ from repro.core.gct import GCTIndex
 if TYPE_CHECKING:  # the store imports this module
     from repro.service.store import ContentKey
 
-#: One memoised threshold: the score map and the canonical ranking.
-ScoreEntry = Tuple[Dict[Vertex, int], List[Tuple[Vertex, int]]]
+#: One memoised threshold: its positive ``(vertex, score)`` rows in
+#: canonical order (:meth:`GCTIndex.positive_ranking`).
+ScoreEntry = List[Tuple[Vertex, int]]
 
 
 class Snapshot:
     """One immutable, fully materialised serving state: graph + GCT.
 
     Every read — :meth:`top_r`, :meth:`score`, :meth:`contexts` — is
-    answered from the GCT index, the TSD index compressed for querying
-    (Lemma 3 scoring off its per-threshold score postings).  So the GCT
-    is the one index a snapshot holds, the update path patches and the
-    store persists; TSD and hybrid rankings stay library methods of
+    answered from the GCT index, the TSD index compressed for querying:
+    a top-r answer is a prefix of the threshold's memoised positive
+    rows, completed with zero-score vertices off the index's score
+    postings (:meth:`GCTIndex.zero_filled`), and a point lookup is
+    Lemma 3 on the vertex's columns.  So the GCT is the one index a
+    snapshot holds, the update path patches and the store persists;
+    TSD and hybrid rankings stay library methods of
     :class:`~repro.engine.QueryEngine`.
 
     Parameters
@@ -69,8 +74,8 @@ class Snapshot:
     gct:
         The built GCT index (required).
     scores:
-        Score-cache entries to seed (``k`` → (score map, ranking)),
-        typically the survivors of a fine-grained invalidation.
+        Memo entries to seed (``k`` → ranked positive rows), typically
+        the survivors of a fine-grained invalidation.
     version, key:
         Provenance: the store version and graph key this snapshot is
         *persisted as* (0 / ``None`` for unpersisted snapshots).
@@ -223,7 +228,7 @@ class Snapshot:
         return self._gct
 
     def cached_thresholds(self) -> List[int]:
-        """Thresholds with a materialised score map, ascending."""
+        """Thresholds with a memoised ranking, ascending."""
         return sorted(self._scores)
 
     def score_entries(self) -> Dict[int, ScoreEntry]:
@@ -234,25 +239,17 @@ class Snapshot:
     # Serving
     # ------------------------------------------------------------------
     def _entry(self, k: int) -> Tuple[ScoreEntry, bool]:
-        """The ``(score map, ranking)`` for ``k``; computes+memoises on
+        """The ranked positive rows for ``k``; computes+memoises on
         first use.  Returns ``(entry, was_cached)``."""
         entry = self._scores.get(k)
         if entry is not None:
             return entry, True
-        entry = (self._gct.scores_for_all(k), self._gct.ranking(k))
+        entry = self._gct.positive_ranking(k)
         self._scores[k] = entry  # atomic publish; idempotent recompute
         return entry, False
 
     def score(self, v: Vertex, k: int) -> int:
-        """``score(v)`` at threshold ``k`` (cached map, else Lemma 3)."""
-        if k < 2:
-            raise InvalidParameterError(f"k must be >= 2, got {k}")
-        if v not in self._graph:
-            raise InvalidParameterError(
-                f"vertex {v!r} is not in this snapshot's graph")
-        entry = self._scores.get(k)
-        if entry is not None:
-            return entry[0][v]
+        """``score(v)`` at threshold ``k`` (Lemma 3 on the GCT)."""
         return self._gct.score(v, k)
 
     def contexts(self, v: Vertex, k: int) -> List[Set[Vertex]]:
@@ -265,27 +262,27 @@ class Snapshot:
 
         ``search_space`` counts actual score computations: ``|V|`` when
         this call materialised the threshold, 0 when it was served from
-        the snapshot's cache.
+        the snapshot's memo.
         """
         if k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
         if r < 1:
             raise InvalidParameterError(f"r must be >= 1, got {r}")
         start = time.perf_counter()
-        (_, ranking), was_cached = self._entry(k)
-        answer = ranking[:min(r, len(ranking))]
+        ranked, was_cached = self._entry(k)
+        answer = self._gct.zero_filled(k, ranked, r)
+        n = self.num_vertices
         entries = build_entries(
             answer, lambda v: self._gct.contexts(v, k), collect_contexts)
         return SearchResult(
-            method="service", k=k, r=min(r, max(len(ranking), 1)),
-            entries=entries,
-            search_space=0 if was_cached else len(ranking),
+            method="service", k=k, r=min(r, max(n, 1)),
+            entries=entries, search_space=0 if was_cached else n,
             elapsed_seconds=time.perf_counter() - start,
         )
 
     def top_r_many(self, queries: Sequence[Tuple[int, int]],
                    collect_contexts: bool = True) -> List[SearchResult]:
-        """Answer a batch; same-threshold items share one score map."""
+        """Answer a batch; same-threshold items share one memo entry."""
         return [self.top_r(k, r, collect_contexts=collect_contexts)
                 for k, r in queries]
 

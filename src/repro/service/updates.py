@@ -1,7 +1,7 @@
 """The live-update path: edge batches → the next snapshot, incrementally.
 
 Whole-engine ``invalidate()`` throws away every index and every cached
-score map on any mutation.  This module replaces it with the locality
+ranking on any mutation.  This module replaces it with the locality
 argument of :mod:`repro.core.dynamic`: inserting or deleting edge
 ``(u, v)`` changes only the ego-networks of ``{u, v} ∪ (N(u) ∩ N(v))``,
 so only those vertices' ego forests are re-decomposed and their GCT
@@ -9,13 +9,13 @@ entries rebuilt — every other GCT record is carried into the next
 snapshot untouched.
 
 Fine-grained cache invalidation falls out of the same locality: a
-cached ``(score map, ranking)`` at threshold ``k`` is still exact after
-the batch iff no affected vertex's score *at that* ``k`` changed (and
-the vertex set did not change — a new vertex must appear in every
-ranking's zero-fill).  The update path compares each affected vertex's
-old and new score profiles and drops exactly the thresholds where they
-differ, so a service whose traffic hammers ``k=4`` keeps its hot cache
-through an update that only shifted scores at ``k=2``.
+memoised ranking (the positive rows at threshold ``k``) is still exact
+after the batch iff no affected vertex's score *at that* ``k`` changed
+(a batch that adds a vertex conservatively drops every entry).  The
+update path compares each affected vertex's old and new score profiles
+and drops exactly the thresholds where they differ, so a service whose
+traffic hammers ``k=4`` keeps its hot cache through an update that only
+shifted scores at ``k=2``.
 
 Examples
 --------
@@ -92,8 +92,8 @@ class UpdateReport:
     retained_thresholds:
         Cached ``k`` entries that survived into the next snapshot.
     vertex_set_changed:
-        Whether the batch added a vertex — this forces dropping every
-        cached ranking (zero-fill must include the newcomer).
+        Whether the batch added a vertex — this drops every memoised
+        ranking.
     seconds:
         Wall-clock time of the whole batch application.
     """

@@ -7,8 +7,8 @@ replacements backed by an :class:`~repro.storage.reader.ArtifactReader`
 — a lookup decodes exactly one record, an iteration walks the offset
 dictionary, and nothing is materialised up front.  The index classes
 duck-type the extra accessors (``weights`` / ``max_weight`` /
-``tau_sorted`` / ``weight_sorted`` / ``summaries``) to skip their eager
-precomputation;
+``tau_sorted`` / ``weight_sorted`` / ``summaries`` / ``record``) to skip
+their eager precomputation and repeated lookups;
 ``core`` never imports ``storage``, so the dependency points one way.
 
 The canonical ranking contract holds bit-for-bit over these maps: the
@@ -100,6 +100,11 @@ class LazySupernodeMap(_LazyRecordMap):
 
     def __getitem__(self, v) -> List[Supernode]:
         return self._reader.supernodes(self._pos(v))
+
+    def record(self, v) -> Tuple[List[Supernode], List[Superedge]]:
+        """``(supernodes, superedges)`` of ``v`` — one position lookup
+        and one record fetch (what :meth:`GCTIndex.contexts` reads)."""
+        return self._reader.gct_record(self._pos(v))
 
     def tau_sorted(self, v) -> List[int]:
         """Descending supernode taus — Lemma-3 prefix decode."""

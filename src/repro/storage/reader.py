@@ -249,7 +249,9 @@ class ArtifactReader:
     # ------------------------------------------------------------------
     # GCT records
     # ------------------------------------------------------------------
-    def _gct_record(self, pos: int):
+    def gct_record(self, pos: int):
+        """One vertex's ``(supernodes, superedges)``: one decode, one
+        LRU entry, shared by :meth:`supernodes` and :meth:`superedges`."""
         def produce():
             off, length = self._require(pos, KIND_GCT)
             labels = self.labels()
@@ -268,11 +270,11 @@ class ArtifactReader:
 
     def supernodes(self, pos: int) -> List[Tuple[int, Tuple[object, ...]]]:
         """One vertex's supernodes as ``(tau, members)`` pairs."""
-        return self._gct_record(pos)[0]
+        return self.gct_record(pos)[0]
 
     def superedges(self, pos: int) -> List[Tuple[int, int, int]]:
         """One vertex's superedges as ``(i, j, weight)`` triples."""
-        return self._gct_record(pos)[1]
+        return self.gct_record(pos)[1]
 
     def summary(self, pos: int) -> Tuple[List[int], List[int]]:
         """``(taus desc, superedge weights desc)`` — the Lemma-3 fast

@@ -14,6 +14,7 @@ from repro.core.online import online_search
 from repro.core.tsd import TSDIndex
 from repro.storage import write_artifact
 from repro.storage.lazy import open_gct_artifact
+from repro.util.dsu import DisjointSet
 
 #: An index store from a release that wrote ``tsd``/``gct`` artifacts as
 #: whole-payload JSON: ``serve-build figure1.txt store --codec json``,
@@ -94,6 +95,44 @@ def brute_social_contexts(graph: Graph, v: Vertex, k: int) -> Set[frozenset]:
     truss = nx.k_truss(ego, k)
     truss.remove_nodes_from([n for n in list(truss) if truss.degree(n) == 0])
     return {frozenset(c) for c in nx.connected_components(truss)}
+
+
+def canonical_top_r(graph: Graph, k: int, r: int) -> List[Tuple[Vertex, int]]:
+    """The canonical top-``r`` from the definition: every vertex's
+    brute-force score, descending, ties (zeros included) in graph
+    insertion order, ``min(r, n)`` rows."""
+    scored = [(v, brute_structural_diversity(graph, v, k))
+              for v in graph.vertices()]
+    ranked = [pair for _, pair in sorted(
+        enumerate(scored), key=lambda item: (-item[1][1], item[0]))]
+    return ranked[:r]
+
+
+def lemma3_score(gct: GCTIndex, v: Vertex, k: int) -> int:
+    """Lemma 3 from ``GCT_v`` itself: supernodes with tau ≥ ``k`` minus
+    superedges with weight ≥ ``k``."""
+    return (sum(tau >= k for tau, _ in gct.supernodes(v))
+            - sum(weight >= k for _, _, weight in gct.superedges(v)))
+
+
+def dsu_contexts(gct: GCTIndex, v: Vertex, k: int) -> List[Set[Vertex]]:
+    """``GCTIndex.contexts`` through a :class:`DisjointSet`, as it was
+    computed before the one-fetch union-find: qualifying supernodes
+    unioned by superedges of weight ≥ ``k``, one member union per
+    component, components in order of their first supernode."""
+    nodes, edges = gct.supernodes(v), gct.superedges(v)
+    dsu: DisjointSet = DisjointSet(
+        [i for i, (tau, _) in enumerate(nodes) if tau >= k])
+    for i, j, weight in edges:
+        if weight >= k:
+            dsu.union(i, j)
+    contexts: List[Set[Vertex]] = []
+    for group in dsu.components():
+        context: Set[Vertex] = set()
+        for i in group:
+            context.update(nodes[i][1])
+        contexts.append(context)
+    return contexts
 
 
 def nx_core_numbers(graph: Graph) -> Dict[Vertex, int]:

@@ -153,17 +153,17 @@ class TestPlannerCalibration:
 class TestScoreMapCache:
     def test_lru_eviction(self):
         cache = ScoreMapCache(maxsize=2)
-        cache.put(2, {"a": 1}, [("a", 1)])
-        cache.put(3, {"a": 2}, [("a", 2)])
+        cache.put(2, [("a", 1)])
+        cache.put(3, [("a", 2)])
         assert cache.get(2) is not None      # refresh 2
-        cache.put(4, {"a": 3}, [("a", 3)])   # evicts 3
+        cache.put(4, [("a", 3)])             # evicts 3
         assert 3 not in cache and 2 in cache and 4 in cache
 
     def test_hit_miss_accounting(self):
         cache = ScoreMapCache(maxsize=2)
         assert cache.get(5) is None
-        cache.put(5, {}, [])
-        assert cache.get(5) == ({}, [])
+        cache.put(5, [])                     # no positive row is an entry
+        assert cache.get(5) == []
         assert cache.hits == 1 and cache.misses == 1
 
     def test_maxsize_validation(self):
@@ -250,16 +250,23 @@ class TestEngineCaching:
         engine.top_r(4, 1, method="auto")
         assert engine.stats().decisions[-1].method == "gct"
 
-    def test_score_misses_are_counted(self, figure1):
+    def test_point_lookups_leave_the_cache_counters(self, figure1):
+        """Point lookups are Lemma 3 on the index, not memo reads: with
+        or without a memo entry they count neither a hit nor a miss."""
         engine = QueryEngine(figure1)
-        engine.score("v", 4)                     # nothing cached: a miss
-        assert engine.stats().cache_misses == 1
+        engine.score("v", 4)                     # nothing cached
+        engine.top_r(4, 1, method="gct")         # one miss, memoises k=4
+        engine.score("v", 4)                     # k=4 memoised
+        engine.score("v", 3)                     # k=3 not memoised
+        stats = engine.stats()
+        assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+        assert stats.point_lookups == 3
 
     def test_score_uses_cheapest_source(self, figure1):
         engine = QueryEngine(figure1)
         assert engine.score("v", 4) == 3        # no index: Algorithm 2
         engine.top_r(4, 1, method="gct")
-        assert engine.score("v", 4) == 3        # cached score map
+        assert engine.score("v", 4) == 3        # Lemma 3 on the GCT
         assert engine.stats().point_lookups == 2
 
     def test_score_validation(self, figure1):
@@ -268,26 +275,6 @@ class TestEngineCaching:
             engine.score("ghost", 4)
         with pytest.raises(InvalidParameterError):
             engine.score("v", 1)
-
-    def test_cache_hit_without_contexts_builds_no_index(self, figure1):
-        """Regression: a score-map cache hit with contexts disabled must
-        not build the GCT index — the answer is a slice of the cached
-        ranking, no index required."""
-        from repro.core.gct import GCTIndex
-        engine = QueryEngine(figure1)
-        position = {v: i for i, v in enumerate(figure1.vertices())}
-        index = GCTIndex.build(figure1)
-        score_map = index.scores_for_all(4)
-        ranking = sorted(score_map.items(),
-                         key=lambda pair: (-pair[1], position[pair[0]]))
-        engine._cache.put(4, score_map, ranking)   # seeded, engine cold
-        result = engine.top_r(4, 2, method="gct", collect_contexts=False)
-        expected = online_search(figure1, 4, 2, collect_contexts=False)
-        assert result.vertices == expected.vertices
-        assert engine.stats().index_build_seconds == {}   # stayed cold
-        # Asking for contexts *does* (lazily) build it.
-        engine.top_r(4, 1, method="gct", collect_contexts=True)
-        assert "gct" in engine.stats().index_build_seconds
 
 
 class TestBatching:
@@ -306,6 +293,27 @@ class TestBatching:
         assert stats.cache_misses == 2          # one per distinct k
         assert stats.cache_hits == 3
         assert stats.batches == 1 and stats.queries == 5
+
+    @pytest.mark.parametrize("dataset", ["wiki-vote", "email-enron"])
+    def test_repeated_workload_matches_online_on_gct_and_auto(self, dataset):
+        """A repeated-traffic batch (three thresholds, repeated ``r``
+        sweeps) answered by the engine forced to GCT and by the planner
+        equals a fresh online search per query, entry for entry."""
+        from repro.datasets.registry import load_dataset
+        graph = load_dataset(dataset)
+        workload = [(k, r) for _ in range(3) for k in (3, 4, 5)
+                    for r in (1, 10, 50)]
+        online = {(k, r): _ranked(online_search(graph, k, r,
+                                                collect_contexts=False))
+                  for k, r in set(workload)}
+        expected = [online[query] for query in workload]
+        for method in ("gct", "auto"):
+            engine = QueryEngine(graph)
+            results = engine.top_r_many(workload, method=method,
+                                        collect_contexts=False)
+            assert [_ranked(result) for result in results] == expected, \
+                method
+            assert engine.stats().cache_misses == 3, method
 
     def test_empty_batch(self, figure1):
         engine = QueryEngine(figure1)

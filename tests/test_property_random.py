@@ -13,6 +13,11 @@ serving surface the system has grown:
 * the GCT *score postings* every index-backed answer is read from
   (``ranking`` / ``scores_for_all`` / ``top_r`` ≡ the per-vertex
   ``score`` scan; eager ≡ compressed ≡ lazy mmap),
+* the *work of a memo miss* on the engine, the snapshot and the router:
+  no whole-graph scan, memo entries of exactly ``postings_k`` rows,
+  answers ≡ the brute-force canonical oracle, ``score`` ≡ Lemma 3,
+* ``contexts`` ≡ the :class:`DisjointSet` oracle (order included) and
+  the Alg. 4 bound on every postings row, before and after batches,
 * the *incremental* index: after each of several update batches the
   successor GCT (which shares every unaffected record with its
   predecessor) encodes byte-for-byte like a from-scratch build — its
@@ -36,8 +41,9 @@ import random
 import pytest
 
 from repro.build import build_indexes, repair_forests
+from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.core.gct import assemble_from_forest
+from repro.core.gct import GCTIndex, assemble_from_forest
 from repro.core.online import online_search
 from repro.datasets.synthetic import add_planted_cliques, erdos_renyi
 from repro.engine import QueryEngine
@@ -45,12 +51,18 @@ from repro.replication import replicate_store
 from repro.service import DiversityService, IndexStore
 from repro.service.snapshot import Snapshot
 from repro.service.store import graph_fingerprint
-from repro.storage import ArtifactReader
+from repro.storage import ArtifactReader, write_artifact
+from repro.storage.lazy import open_gct_artifact
 from repro.service.updates import apply_batch
 from repro.cluster import ShardedCluster
-from repro.server import ServerClient
+from repro.server import DiversityRouter, ServerClient
 from repro.util.jsonio import dumps_payload
-from tests.helpers import check_score_postings
+from tests.helpers import (
+    canonical_top_r,
+    check_score_postings,
+    dsu_contexts,
+    lemma3_score,
+)
 
 #: Trussness thresholds swept per graph; 40 exceeds every graph's
 #: maximum trussness in this family (the biggest planted clique is 7).
@@ -223,6 +235,71 @@ class TestDifferentialRankings:
             assert len({v for v, _ in answer}) == n, (name, k)
 
 
+#: Thresholds the miss-work sweep serves (the planted cliques reach 7).
+MISS_KS = (3, 4, 5, 6)
+
+
+class TestMissWork:
+    """A memo miss costs the threshold's postings, not the graph: on the
+    engine, the :class:`Snapshot` and the router alike, no served path
+    builds an n-entry score map or ranking, each memo entry holds
+    exactly the ``postings_k`` positive rows, every answer is the
+    canonical one, and point lookups are Lemma 3 with or without a
+    memo entry."""
+
+    @staticmethod
+    def _forbid_whole_graph_scans(monkeypatch):
+        def forbidden(self, k):
+            raise AssertionError(f"whole-graph scan at k={k} on a "
+                                 "served path")
+        monkeypatch.setattr(GCTIndex, "scores_for_all", forbidden)
+        monkeypatch.setattr(GCTIndex, "ranking", forbidden)
+
+    def test_engine_snapshot_and_router_misses(self, case, monkeypatch):
+        name, graph, _ = case
+        self._forbid_whole_graph_scans(monkeypatch)
+        n = graph.num_vertices
+        oracle = {k: canonical_top_r(graph, k, n) for k in MISS_KS}
+        engine = QueryEngine(graph)
+        snapshot = Snapshot.build(graph)
+        router = DiversityRouter()
+        router.add_graph(name, graph)
+        served = router.service(name)
+        paths = {
+            "engine": (lambda k, r: engine.top_r(k, r, method="gct"),
+                       engine.score,
+                       lambda: (engine.gct_index,
+                                engine._cache.entries())),
+            "snapshot": (snapshot.top_r, snapshot.score,
+                         lambda: (snapshot.gct,
+                                  snapshot.score_entries())),
+            "router": (lambda k, r: router.top_r(name, k, r),
+                       lambda v, k: router.score(name, v, k),
+                       lambda: (served.snapshot.gct,
+                                served.snapshot.score_entries())),
+        }
+        for path, (top_r, score, memo) in paths.items():
+            for k in MISS_KS:     # no memo entry yet
+                for v in graph.vertices():
+                    assert score(v, k) == lemma3_score(
+                        memo()[0], v, k), (name, path, v, k)
+            for k in MISS_KS:
+                for r in (1, 10, n + 5):
+                    result = top_r(k, r)
+                    assert _canonical(result) == oracle[k][:r], \
+                        (name, path, k, r)
+            index, entries = memo()
+            assert sorted(entries) == list(MISS_KS), (name, path)
+            for k in MISS_KS:
+                assert len(entries[k]) == len(index._postings_at(k)[0]), \
+                    (name, path, k)
+                assert entries[k] == [row for row in oracle[k]
+                                      if row[1] > 0], (name, path, k)
+                for v in graph.vertices():
+                    assert score(v, k) == lemma3_score(index, v, k), \
+                        (name, path, v, k)
+
+
 def _gct_bytes(gct):
     """The artifact in canonical byte form — key order counts."""
     return dumps_payload(gct.to_payload(include_profile=False))
@@ -372,6 +449,49 @@ class TestIncrementalSuccessors:
                 tuple(sorted(cached - invalidated)), (name, batch)
             current, oracle = nxt, next_oracle
         assert_gct_profiles_match(current, oracle)
+
+    def test_contexts_and_the_alg4_bound_across_batches(self, case,
+                                                         tmp_path):
+        """Before and after every batch: ``contexts(v, k)`` equals the
+        :class:`DisjointSet` oracle — same contexts, same order — for
+        every vertex and every ``k`` from 2 to the largest tau, on the
+        served index and on its lazy mmap twin; and every postings row
+        obeys Alg. 4's bound ``score ≤ ⌊|{e ∈ TSD_v : w(e) ≥ k}| /
+        (k − 1)⌋`` (each context spans ≥ k − 1 forest edges)."""
+        name, graph, _ = case
+
+        def check(snapshot, step):
+            gct = snapshot.gct
+            path = tmp_path / f"contexts-{step}.bin"
+            write_artifact(path, gct.to_payload())
+            lazy = open_gct_artifact(path)
+            tsd = build_indexes(snapshot.graph_view)[0]
+            vertices = gct.vertices
+            max_tau = max((tau for v in vertices
+                           for tau, _ in gct.supernodes(v)), default=1)
+            for v in vertices:
+                for k in range(2, max_tau + 1):
+                    want = dsu_contexts(gct, v, k)
+                    assert gct.contexts(v, k) == want, (name, step, v, k)
+                    assert lazy.contexts(v, k) == want, (name, step, v, k)
+            for index in (gct, lazy):
+                with pytest.raises(InvalidParameterError):
+                    index.contexts("no-such-vertex", 2)
+            lazy._supernodes.reader.close()
+            for k in range(2, max_tau + 1):
+                positions, scores = gct._postings_at(k)
+                for pos, score in zip(positions, scores):
+                    forest = tsd.forest(vertices[pos])
+                    heavy = sum(weight >= k for _, _, weight in forest)
+                    assert score <= heavy // (k - 1), \
+                        (name, step, vertices[pos], k)
+
+        current = Snapshot.build(graph)
+        check(current, 0)
+        for step, batch in enumerate(
+                _batches(graph, random.Random(f"contexts-{name}")), 1):
+            current, _ = apply_batch(current, batch)
+            check(current, step)
 
     def test_unscanned_predecessor_hands_on_no_postings(self, case):
         """The update path must not pay for a column nobody asked for:

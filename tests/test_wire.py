@@ -10,7 +10,9 @@ contract:
   the same handler running the stdlib's ``parse_request``; a connection
   that stays open still serves ``GET /healthz``.
 * **Fuzzed heads and bodies** never produce a 5xx or a hang, and the
-  server keeps answering afterwards.
+  server keeps answering afterwards; a declared body over the cap or
+  of negative length is refused (413 / 400) unread, on a closed
+  connection.
 * **One send per response**, from the server and for every response
   the frontend relays.
 * **Client framing** — :class:`ServerClient` decodes Content-Length,
@@ -25,6 +27,7 @@ import json
 import re
 import socket
 import threading
+import time
 from contextlib import contextmanager, nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -36,6 +39,7 @@ from repro.errors import ServerError
 from repro.graph.graph import Graph
 from repro.server import DiversityRouter, ServerClient
 from repro.server.http import DiversityHTTPServer, DiversityRequestHandler
+from repro.server.wire import MAX_BODY
 
 _TIMEOUT = 10.0
 
@@ -89,12 +93,18 @@ class _OneWorkerCluster:
         return {"workers": [{"slot": 0, "port": self.port}]}
 
 
+def _stdlib_parse_request(self):
+    """The stdlib's head parse, then the wire handler's body check."""
+    return (BaseHTTPRequestHandler.parse_request(self)
+            and self._admit_body())
+
+
 class _StdlibParseHandler(DiversityRequestHandler):
-    parse_request = BaseHTTPRequestHandler.parse_request
+    parse_request = _stdlib_parse_request
 
 
 class _StdlibParseFrontendHandler(ClusterRequestHandler):
-    parse_request = BaseHTTPRequestHandler.parse_request
+    parse_request = _stdlib_parse_request
 
 
 @contextmanager
@@ -323,6 +333,57 @@ class TestFuzzedRequests:
         with ServerClient(f"http://127.0.0.1:{port}",
                           timeout=_TIMEOUT) as client:
             assert client.healthz()["status"] == "ok"
+
+
+# ----------------------------------------------------------------------
+# Request-body cap
+# ----------------------------------------------------------------------
+class TestBodyCap:
+    """A declared length above ``MAX_BODY`` gets a 413 and a negative
+    one a 400, both at once and on a closed connection: the body is
+    never read, so neither a huge declaration nor a desync stalls the
+    handler, and the party keeps serving."""
+
+    @pytest.mark.parametrize("party", ["server", "frontend"])
+    @pytest.mark.parametrize("length, body, status", [
+        (2 << 30, b"{}", 413),          # 2 GiB declared, 2 bytes sent
+        (MAX_BODY + 1, b"", 413),
+        (-5, _BODY, 400),
+    ])
+    def test_refused_promptly_and_closed(self, servers, party, length,
+                                         body, status):
+        port = servers[party][0]
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=_TIMEOUT) as sock:
+            sock.sendall(_POST + b"Content-Length: %d\r\n\r\n" % length
+                         + body)
+            assert _status(sock) == status
+            # Closed with the body unread: a request sent next gets no
+            # answer at all (not one to the body's bytes).
+            try:
+                sock.sendall(_GET + b"\r\n")
+            except OSError:
+                pass
+            assert _status(sock) is None
+        assert time.monotonic() - started < _TIMEOUT / 2
+        assert _exchange(port, HEADS["post"][0]) == (200, True)
+
+    @pytest.mark.parametrize("party", ["server", "frontend"])
+    @pytest.mark.parametrize("length, status", [(2 << 30, 413), (-5, 400)])
+    def test_refused_before_100_continue(self, servers, party, length,
+                                         status):
+        """``Expect: 100-continue`` gets the refusal instead of an
+        invitation to send the body."""
+        port = servers[party][0]
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=_TIMEOUT) as sock:
+            sock.sendall(_POST + b"Expect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % length)
+            answer = _read_until_eof(sock)
+        assert answer.startswith(b"HTTP/1.1 %d " % status), answer[:200]
+        assert b" 100 " not in answer
+        assert _exchange(port, HEADS["post"][0]) == (200, True)
 
 
 # ----------------------------------------------------------------------
