@@ -4,7 +4,7 @@
 
 PY ?= python
 
-.PHONY: lint test doctest check smoke-service smoke-server smoke-cluster smoke-parallel-build smoke-mmap smoke-chaos examples bench-build bench-replication bench-e2e-quick benchmarks
+.PHONY: lint test doctest check smoke-service smoke-server smoke-cluster smoke-parallel-build smoke-mmap smoke-chaos examples bench-e2e-quick benchmarks
 
 lint:           ## AST invariant checks (determinism, locks, exceptions, wire, ranking)
 	PYTHONPATH=src $(PY) -m repro.lint
@@ -43,12 +43,6 @@ examples:       ## every example script, executed (they assert their claims)
 		echo "== $$script"; \
 		PYTHONPATH=src $(PY) $$script || exit 1; \
 	done
-
-bench-build:    ## index build: per-vertex vs shared pass vs worker pool
-	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_parallel_build.py --benchmark-disable
-
-bench-replication:  ## follower sync: delta shipping vs full mirror (BENCH_replication.json)
-	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_replication.py --benchmark-disable
 
 bench-e2e-quick:  ## BENCHMARK.json's benchmark, all four workloads briefly (~10 s): oracle, durability, metric contract
 	python3 benchmarks/e2e/run.py --quick

@@ -79,36 +79,6 @@ def test_ablation_ego_extraction(benchmark, report):
 
 
 @pytest.mark.benchmark(group="ablations")
-def test_ablation_csr_vs_hash_global_decomposition(benchmark, report):
-    """CPython inverts the C++ intuition: hash-set peeling (C-implemented
-    intersections) beats array-based two-pointer peeling.  Recorded as
-    a negative result; the CSR form remains the memory-lean option."""
-    from repro.graph.csr import CSRGraph
-    from repro.truss.csr_decomposition import csr_truss_decomposition
-
-    graph = load_dataset(DATASET)
-    csr = CSRGraph.from_graph(graph)
-
-    start = time.perf_counter()
-    hash_result = truss_decomposition(graph)
-    hash_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    csr_result = csr_truss_decomposition(csr)
-    csr_seconds = time.perf_counter() - start
-
-    assert csr_result == hash_result
-    report.add("Ablation - CSR vs hash global peeling", format_table(
-        ["variant", "seconds"],
-        [["hash-set peeling (set & set in C)", round(hash_seconds, 3)],
-         ["CSR two-pointer peeling (pure Python)", round(csr_seconds, 3)]],
-        title=f"Ablation: whole-graph truss decomposition on {DATASET} "
-              "(negative result: arrays lose in CPython)"))
-
-    benchmark(lambda: truss_decomposition(graph))
-
-
-@pytest.mark.benchmark(group="ablations")
 def test_ablation_bound_components(benchmark, report):
     graph = load_dataset(DATASET)
     k, r = 3, 100

@@ -1,11 +1,11 @@
-"""Extension: dynamic TSD maintenance vs from-scratch rebuilds.
+"""Extension: incremental index maintenance vs from-scratch rebuilds.
 
-The paper's Section 5.3 remarks that TSD-index updates on dynamic
-graphs are "promising to be further developed".  This bench measures
-the implemented maintenance (`repro.core.dynamic.DynamicTSDIndex`):
-repairing the {u, v} ∪ (N(u) ∩ N(v)) ego-forests after an edge update
-should beat rebuilding the whole index by a wide margin, because the
-affected set is tiny on sparse graphs.
+The paper's Section 5.3 remarks that index updates on dynamic graphs
+are "promising to be further developed".  This bench measures the
+implemented maintenance (`repro.service.apply_batch`): repairing the
+{u, v} ∪ (N(u) ∩ N(v)) ego-forests after an edge update should beat
+rebuilding the whole index by a wide margin, because the affected set
+is tiny on sparse graphs.
 """
 
 import random
@@ -14,9 +14,9 @@ import time
 import pytest
 
 from repro.bench.reporting import format_table
-from repro.core.dynamic import DynamicTSDIndex
-from repro.core.tsd import TSDIndex
+from repro.core.gct import GCTIndex
 from repro.datasets.registry import load_dataset
+from repro.service import Snapshot, apply_batch, delete, insert
 
 DATASET = "gowalla"
 NUM_UPDATES = 40
@@ -25,7 +25,7 @@ NUM_UPDATES = 40
 @pytest.mark.benchmark(group="extension-dynamic")
 def test_extension_dynamic_maintenance(benchmark, report):
     graph = load_dataset(DATASET)
-    dyn = DynamicTSDIndex(graph)
+    snap = Snapshot.build(graph)
     rng = random.Random(99)
     vertices = list(graph.vertices())
 
@@ -33,19 +33,19 @@ def test_extension_dynamic_maintenance(benchmark, report):
     pairs = []
     while len(pairs) < NUM_UPDATES // 2:
         u, v = rng.sample(vertices, 2)
-        if not dyn.graph.has_edge(u, v):
+        if not graph.has_edge(u, v):
             pairs.append((u, v))
 
+    repaired = 0
     start = time.perf_counter()
-    for u, v in pairs:
-        dyn.insert_edge(u, v)
-    for u, v in pairs:
-        dyn.delete_edge(u, v)
+    for update in ([insert(u, v) for u, v in pairs]
+                   + [delete(u, v) for u, v in pairs]):
+        snap, step = apply_batch(snap, [update])
+        repaired += step.rebuilt_forests
     incremental_seconds = time.perf_counter() - start
-    repaired = dyn.rebuilt_vertices
 
     start = time.perf_counter()
-    rebuilt = TSDIndex.build(dyn.graph)
+    rebuilt = GCTIndex.build(snap.graph_view)
     one_rebuild_seconds = time.perf_counter() - start
 
     per_update = incremental_seconds / NUM_UPDATES
@@ -58,12 +58,12 @@ def test_extension_dynamic_maintenance(benchmark, report):
          ["one full rebuild (s)", round(one_rebuild_seconds, 4)],
          ["rebuilds per update equivalent",
           round(per_update / one_rebuild_seconds, 4)]],
-        title=f"Extension: incremental TSD maintenance on {DATASET}"))
+        title=f"Extension: incremental index maintenance on {DATASET}"))
 
     # Consistency after churn: identical to a fresh build.
     for v in rng.sample(vertices, 25):
         for k in (2, 3, 5):
-            assert dyn.score(v, k) == rebuilt.score(v, k)
+            assert snap.score(v, k) == rebuilt.score(v, k)
 
     # The locality win: one update costs far less than one rebuild.
     assert per_update < one_rebuild_seconds / 10
@@ -71,7 +71,7 @@ def test_extension_dynamic_maintenance(benchmark, report):
     u, v = pairs[0]
 
     def churn_once():
-        dyn.insert_edge(u, v)
-        dyn.delete_edge(u, v)
+        grown, _ = apply_batch(snap, [insert(u, v)])
+        apply_batch(grown, [delete(u, v)])
 
     benchmark(churn_once)

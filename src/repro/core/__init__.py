@@ -46,10 +46,8 @@ from repro.core.results import (
 from repro.core.tsd import TSDIndex, BuildProfile, maximum_spanning_forest
 from repro.core.gct import GCTIndex, assemble_gct
 from repro.core.hybrid import HybridSearcher
-from repro.core.dynamic import DynamicTSDIndex
 
 __all__ = [
-    "DynamicTSDIndex",
     "structural_diversity",
     "social_contexts",
     "diversity_and_contexts",

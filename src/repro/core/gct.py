@@ -323,24 +323,23 @@ class GCTIndex:
 
     def successor(self, vertex_order: Sequence[Vertex],
                   entries: Mapping[Vertex, Tuple[List[Supernode],
-                                                 List[Superedge]]],
-                  dropped: Iterable[Vertex] = ()) -> "GCTIndex":
+                                                 List[Superedge]]]
+                  ) -> "GCTIndex":
         """The index after an update batch; this one is left untouched.
 
-        The GCT counterpart of :meth:`TSDIndex.successor`: ``entries``
-        holds the reassembled ``(supernodes, superedges)`` of every
-        vertex whose ego-network changed, in graph-position order
-        (:func:`assemble_from_forest` over the repaired forests);
-        ``dropped`` names vertices that left the graph.  Every other
-        record and Lemma-3 column is shared with this index.  A
-        lazily-loaded index decodes its records once here (a read-only
-        mmap artifact cannot be patched) and stays lazy itself.  An
-        index that has derived its score postings hands them on patched
-        (:meth:`_patched_postings`); ``dropped`` vertices or a reordered
-        ``vertex_order`` shift positions, and the successor re-derives.
+        ``entries`` holds the reassembled ``(supernodes, superedges)``
+        of every vertex whose ego-network changed, in graph-position
+        order (:func:`assemble_from_forest` over the repaired forests,
+        :func:`repro.service.updates.apply_batch`); new vertices append
+        to ``vertex_order``.  Every other record and Lemma-3 column is
+        shared with this index.  A lazily-loaded index decodes its
+        records once here (a read-only mmap artifact cannot be patched)
+        and stays lazy itself.  An index that has derived its score
+        postings hands them on patched (:meth:`_patched_postings`); a
+        reordered ``vertex_order`` shifts positions, and the successor
+        re-derives.
         """
         old_nodes, old_edges, old_taus, old_weights = self._eager_columns()
-        dropped = tuple(dropped)
         order = list(vertex_order)
         nodes = {v: entry[0] for v, entry in entries.items()}
         edges = {v: entry[1] for v, entry in entries.items()}
@@ -351,15 +350,15 @@ class GCTIndex:
         # stay put (vertices only appended); otherwise, and when nobody
         # has scanned this index, the successor derives its own on demand.
         postings = None
-        if (self._postings is not None and not dropped
+        if (self._postings is not None
                 and order[:len(self._vertices)] == self._vertices):
             postings = self._patched_postings(order, old_taus, taus, weights)
         successor = GCTIndex(
-            carry_records(old_nodes, nodes, dropped),
-            carry_records(old_edges, edges, dropped),
+            carry_records(old_nodes, nodes),
+            carry_records(old_edges, edges),
             order,
-            tau_sorted=carry_records(old_taus, taus, dropped),
-            weight_sorted=carry_records(old_weights, weights, dropped),
+            tau_sorted=carry_records(old_taus, taus),
+            weight_sorted=carry_records(old_weights, weights),
             postings=postings)
         if postings is not None and self._zero_rows is not None:
             successor._zero_rows = self._zero_rows + [

@@ -152,21 +152,18 @@ def maximum_spanning_forest(vertices: Iterable[Vertex],
     return forest
 
 
-def carry_records(old: Mapping, replaced: Mapping,
-                  dropped: Iterable[Vertex] = ()) -> Dict:
+def carry_records(old: Mapping, replaced: Mapping) -> Dict:
     """The per-vertex record dict of an index's successor.
 
     A fresh top-level dict that *shares* every value of ``old`` except
-    those ``replaced`` (or ``dropped``): an update batch costs the
-    records it touched, not the index.  Surviving keys keep their
-    position and new keys append in ``replaced``'s order, so when the
-    caller passes ``replaced`` in graph-position order the result
-    iterates in graph insertion order — what keeps a successor's
-    payload byte-identical to a from-scratch build.
+    those ``replaced``: an update batch costs the records it touched,
+    not the index.  Surviving keys keep their position and new keys
+    append in ``replaced``'s order, so when the caller passes
+    ``replaced`` in graph-position order the result iterates in graph
+    insertion order — what keeps a successor's payload byte-identical
+    to a from-scratch build.
     """
     carried = dict(old)
-    for v in dropped:
-        carried.pop(v, None)
     carried.update(replaced)
     return carried
 
@@ -204,8 +201,7 @@ class TSDIndex:
 
     def __init__(self, forests: Dict[Vertex, List[ForestEdge]],
                  vertex_order: Sequence[Vertex],
-                 build_profile: Optional[BuildProfile] = None,
-                 weights: Optional[Dict[Vertex, List[int]]] = None) -> None:
+                 build_profile: Optional[BuildProfile] = None) -> None:
         self._forests = forests
         self._vertices: List[Vertex] = list(vertex_order)
         # ``forests`` is normally a plain dict, but any Mapping with the
@@ -215,22 +211,18 @@ class TSDIndex:
         # fetched from the provider on demand — the mmap warm-start
         # path.  Queries are bit-identical either way: the provider
         # serves the same stored edge lists a dict would hold.
-        # ``weights`` hands over columns already derived for exactly
-        # these forests (:meth:`successor` carries its predecessor's).
-        if weights is not None:
-            self._weights: Optional[Dict[Vertex, List[int]]] = weights
-        elif callable(getattr(forests, "weights", None)):
-            self._weights = None
-        else:
+        self._weights: Optional[Dict[Vertex, List[int]]] = None
+        if not callable(getattr(forests, "weights", None)):
             self._weights = {v: _forest_weights(edges)
                              for v, edges in forests.items()}
         self.build_profile = build_profile
         # Per-k (bounds, visit order) memo for top_r, plus the vertex
-        # position map both the memo and the collector tie-breaks use.
-        # Invalidated together on any index mutation.  Keys are clamped
-        # to max forest weight + 1 (every k beyond it has identical
-        # all-zero bounds), so the memo holds at most tau* + 1 entries
-        # of O(n) each — no unbounded growth under adversarial k sweeps.
+        # position map both the memo and the collector tie-breaks use
+        # (an index is never mutated, so neither goes stale).  Keys are
+        # clamped to max forest weight + 1 (every k beyond it has
+        # identical all-zero bounds), so the memo holds at most tau* + 1
+        # entries of O(n) each — no unbounded growth under adversarial
+        # k sweeps.
         self._bound_cache: Dict[int, Tuple[Dict[Vertex, int],
                                            List[Vertex]]] = {}
         self._position: Optional[Dict[Vertex, int]] = None
@@ -364,9 +356,7 @@ class TSDIndex:
         The ``(bounds, visit order)`` pair is a pure function of the
         stored forests and ``k``, so it is computed once per threshold
         and memoised — repeated queries at a hot ``k`` skip the
-        all-vertex bound pass and the sort entirely.  Mutations
-        (:meth:`replace_forest`, :meth:`drop_vertex`) invalidate the
-        memo.
+        all-vertex bound pass and the sort entirely.
         """
         self._check_k(k)
         if r < 1:
@@ -419,7 +409,7 @@ class TSDIndex:
                 f"vertex {v!r} is not in the TSD-index")
 
     def _positions(self) -> Dict[Vertex, int]:
-        """Vertex → rank in insertion order, rebuilt after mutations."""
+        """Vertex → rank in insertion order, built on first use."""
         if self._position is None:
             self._position = {v: i for i, v in enumerate(self._vertices)}
         return self._position
@@ -447,56 +437,6 @@ class TSDIndex:
                 self._max_weight = max(
                     (w[0] for w in self._weights.values() if w), default=0)
         return self._max_weight
-
-    def _invalidate_query_caches(self) -> None:
-        """Drop memoised bounds/orders and positions (forests changed)."""
-        self._bound_cache.clear()
-        self._position = None
-        self._max_weight = None
-
-    # ------------------------------------------------------------------
-    # Mutation hooks for dynamic maintenance (Section 5.3 remarks)
-    # ------------------------------------------------------------------
-    def _eager_columns(self) -> Tuple[Dict[Vertex, List[ForestEdge]],
-                                      Dict[Vertex, List[int]]]:
-        """``(forests, weight columns)`` as plain dicts.
-
-        An eager index hands out the dicts it owns (callers copy before
-        changing anything).  A lazily-loaded one decodes every forest
-        once — a read-only mmap artifact cannot be patched — into
-        exactly the state an eager ``from_payload`` load would have
-        produced, leaving the index itself lazy.
-        """
-        if self._weights is not None:
-            return self._forests, self._weights
-        forests = dict(self._forests)
-        return forests, {v: _forest_weights(edges)
-                         for v, edges in forests.items()}
-
-    def _materialise(self) -> None:
-        """Continue on the eager path (first mutation of a lazy index)."""
-        self._forests, self._weights = self._eager_columns()
-
-    def replace_forest(self, v: Vertex, edges: Iterable[ForestEdge]) -> None:
-        """Install a freshly rebuilt forest for ``v`` (registering ``v``
-        if it is new).  Used by incremental maintenance after an edge
-        update invalidated the vertex's ego-network."""
-        self._materialise()
-        ordered = sorted(edges, key=lambda item: -item[2])
-        if v not in self._forests:
-            self._vertices.append(v)
-        self._forests[v] = ordered
-        self._weights[v] = _forest_weights(ordered)
-        self._invalidate_query_caches()
-
-    def drop_vertex(self, v: Vertex) -> None:
-        """Remove ``v`` from the index (vertex deleted from the graph)."""
-        if v in self._forests:
-            self._materialise()
-            del self._forests[v]
-            del self._weights[v]
-            self._vertices.remove(v)
-            self._invalidate_query_caches()
 
     # ------------------------------------------------------------------
     # Size accounting and persistence (Table 3 columns)

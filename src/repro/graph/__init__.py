@@ -32,7 +32,6 @@ from repro.graph.triangles import (
     approx_triangle_count,
 )
 from repro.graph.bitmap import BitmapAdjacency
-from repro.graph.csr import CSRGraph
 from repro.graph.arboricity import (
     degeneracy,
     arboricity_upper_bound,
@@ -71,7 +70,6 @@ __all__ = [
     "global_clustering_coefficient",
     "approx_triangle_count",
     "BitmapAdjacency",
-    "CSRGraph",
     "degeneracy",
     "arboricity_upper_bound",
     "arboricity_lower_bound",

@@ -1,21 +1,37 @@
 """The live-update path: edge batches → the next snapshot, incrementally.
 
+This is the library's one way to maintain an index under edge updates —
+the paper's Section 5.3 "Remarks" note that the index "can support
+efficient updates in dynamic graphs" and leave it as future work.
 Whole-engine ``invalidate()`` throws away every index and every cached
-ranking on any mutation.  This module replaces it with the locality
-argument of :mod:`repro.core.dynamic`: inserting or deleting edge
-``(u, v)`` changes only the ego-networks of ``{u, v} ∪ (N(u) ∩ N(v))``,
-so only those vertices' ego forests are re-decomposed and their GCT
-entries rebuilt — every other GCT record is carried into the next
-snapshot untouched.
+ranking on any mutation; :func:`apply_batch` re-decomposes only the ego
+networks that actually changed.
+
+Locality argument (why the affected set is exactly right): inserting or
+deleting edge ``(u, v)`` changes
+
+* ``G_N(w)`` for every common neighbour ``w ∈ N(u) ∩ N(v)`` — the edge
+  ``(u, v)`` appears/disappears inside those ego-networks;
+* ``G_N(u)`` — vertex ``v`` (dis)appears together with its edges to
+  ``N(u) ∩ N(v)``; symmetrically ``G_N(v)``.
+
+No other ego-network gains or loses a vertex or an edge, so rebuilding
+the forests of ``{u, v} ∪ (N(u) ∩ N(v))`` (common neighbours taken
+while the edge is present) and their GCT entries restores exact index
+state — every other GCT record is carried into the next snapshot
+untouched.
 
 Fine-grained cache invalidation falls out of the same locality: a
-memoised ranking (the positive rows at threshold ``k``) is still exact
-after the batch iff no affected vertex's score *at that* ``k`` changed
-(a batch that adds a vertex conservatively drops every entry).  The
-update path compares each affected vertex's old and new score profiles
-and drops exactly the thresholds where they differ, so a service whose
-traffic hammers ``k=4`` keeps its hot cache through an update that only
-shifted scores at ``k=2``.
+memoised ranking (the positive rows at threshold ``k``, in canonical
+order) is still exact after the batch iff no affected vertex's score
+*at that* ``k`` changed.  That holds when the batch adds vertices too:
+a newcomer takes the highest position, is itself affected, and only
+enters a memo entry with a positive score — a change at its ``k``; the
+zero tail of an answer comes from the successor index, never the memo.
+The update path compares each affected vertex's old and new score
+profiles and drops exactly the thresholds where they differ, so a
+service whose traffic hammers ``k=4`` keeps its hot cache through an
+update that only shifted scores at ``k=2``.
 
 Examples
 --------
@@ -84,16 +100,15 @@ class UpdateReport:
     affected_vertices:
         Vertices whose ego-network changed (forest + GCT entry rebuilt).
     rebuilt_forests:
-        Ego forests actually re-decomposed (≤ ``len(affected_vertices)``;
-        vertices deleted from the graph are dropped, not rebuilt).
+        Ego forests re-decomposed (``len(affected_vertices)``: an edge
+        update never removes a vertex).
     invalidated_thresholds:
         Cached ``k`` entries dropped because an affected vertex's score
-        at that ``k`` changed (or because the vertex set changed).
+        at that ``k`` changed.
     retained_thresholds:
         Cached ``k`` entries that survived into the next snapshot.
     vertex_set_changed:
-        Whether the batch added a vertex — this drops every memoised
-        ranking.
+        Whether the batch added a vertex.
     seconds:
         Wall-clock time of the whole batch application.
     """
@@ -179,7 +194,7 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
             affected |= _affected_by(graph, update.u, update.v)
         else:
             # Common neighbours are taken while the edge's triangles
-            # still exist (mirrors DynamicTSDIndex.delete_edge).
+            # still exist.
             affected |= _affected_by(graph, update.u, update.v)
             graph.remove_edge(update.u, update.v)
     # Edge updates only ever append vertices, so no position shifts.
@@ -206,9 +221,7 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
     # order (what keeps successor dicts in insertion order) and every
     # other record is shared with the input snapshot's indexes.
     from repro.build import repair_forests
-    targets = sorted((v for v in affected if v in graph),
-                     key=position.__getitem__)
-    dropped = sorted((v for v in affected if v not in graph), key=repr)
+    targets = sorted(affected, key=position.__getitem__)
     repaired: Dict[Vertex, List[ForestEdge]] = repair_forests(
         graph, targets, jobs=jobs, labels=order, ids=position)
     new_forests = {w: repaired[w] for w in targets}
@@ -221,26 +234,22 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
     new_gct: GCTIndex = snapshot.gct.successor(
         order,
         {w: assemble_from_forest(forest, position)
-         for w, forest in new_forests.items()},
-        dropped)
+         for w, forest in new_forests.items()})
 
     # --- 4. fine-grained cache invalidation ---------------------------
     changed_ks: Set[int] = set()
     for w in affected:
         old_profile = old_profiles[w]
-        new_profile = new_profiles.get(w, {})
+        new_profile = new_profiles[w]
         for k in sorted(set(old_profile) | set(new_profile)):
             if old_profile.get(k, 0) != new_profile.get(k, 0):
                 changed_ks.add(k)
 
     old_entries = snapshot.score_entries()
-    if vertex_set_changed:
-        invalidated = set(old_entries)
-        retained: Dict[int, ScoreEntry] = {}
-    else:
-        invalidated = {k for k in old_entries if k in changed_ks}
-        retained = {k: entry for k, entry in old_entries.items()
-                    if k not in invalidated}
+    invalidated = {k for k in old_entries if k in changed_ks}
+    retained: Dict[int, ScoreEntry] = {
+        k: entry for k, entry in old_entries.items()
+        if k not in invalidated}
 
     # The graph is this call's private branch and is not touched again,
     # so the next snapshot takes it over instead of copying it.

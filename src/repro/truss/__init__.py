@@ -9,9 +9,7 @@ Public surface:
 * :func:`~repro.truss.ktruss.k_truss_subgraph`,
   :func:`~repro.truss.ktruss.maximal_connected_k_trusses`.
 * :func:`~repro.truss.bitmap_decomposition.bitmap_truss_decomposition` —
-  the GCT bitmap variant (Section 6.2).
-* :class:`~repro.truss.dynamic.DynamicTrussIndex` — incremental
-  maintenance extension (Section 5.3 remarks).
+  the GCT bitmap variant (Section 6.2), the production peeler.
 """
 
 from repro.truss.decomposition import (
@@ -32,16 +30,8 @@ from repro.truss.bitmap_decomposition import (
     bitmap_truss_decomposition,
     bitmap_truss_decomposition_graph,
 )
-from repro.truss.dynamic import DynamicTrussIndex
-from repro.truss.csr_decomposition import (
-    csr_truss_decomposition,
-    csr_truss_decomposition_graph,
-)
 
 __all__ = [
-    "DynamicTrussIndex",
-    "csr_truss_decomposition",
-    "csr_truss_decomposition_graph",
     "truss_decomposition",
     "vertex_trussness",
     "max_trussness",

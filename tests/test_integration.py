@@ -20,7 +20,6 @@ from repro import (
 )
 from repro.analysis import summarize_scores
 from repro.community import TCPIndex, truss_communities
-from repro.core.dynamic import DynamicTSDIndex
 from repro.datasets import powerlaw_cluster, add_planted_cliques
 from repro.graph.io import write_edge_list
 from repro.influence import ris_seeds, activated_among_targets
@@ -89,20 +88,6 @@ class TestEndToEnd:
         activated = activated_among_targets(reloaded, picks, seeds, 0.08,
                                             runs=60, seed=9)
         assert 0.0 <= activated <= r
-
-    def test_dynamic_index_through_workflow(self, pipeline_graph):
-        g = pipeline_graph
-        dyn = DynamicTSDIndex(g)
-        before = dyn.top_r(3, 5).scores
-        # Insert a wedge of edges and remove them again: back to start.
-        edits = [(0, 200), (0, 201), (200, 201)]
-        for u, v in edits:
-            if not dyn.graph.has_edge(u, v):
-                dyn.insert_edge(u, v)
-        for u, v in reversed(edits):
-            if dyn.graph.has_edge(u, v) and not g.has_edge(u, v):
-                dyn.delete_edge(u, v)
-        assert dyn.top_r(3, 5).scores == before
 
     def test_model_comparison_consistency(self, pipeline_graph):
         """Comp-Div's fast all-vertices pass agrees with its model API

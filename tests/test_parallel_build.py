@@ -77,11 +77,12 @@ class TestTSDBuildEquivalence:
                     == payload_bytes(TSDIndex.build(graph)))
 
     def test_public_jobs_api_matches_serial(self):
-        # Whatever plan jobs=2 resolves to on this machine, the payload
-        # must not change.
+        # Whatever plan jobs=2 or jobs=4 resolves to on this machine,
+        # the payload must not change.
         graph = powerlaw_cluster(150, 3, 0.5, seed=4)
-        assert (payload_bytes(TSDIndex.build(graph, jobs=2))
-                == payload_bytes(TSDIndex.build(graph)))
+        serial = payload_bytes(TSDIndex.build(graph))
+        for jobs in (2, 4):
+            assert payload_bytes(TSDIndex.build(graph, jobs=jobs)) == serial
 
     def test_parallel_build_profile_present(self):
         graph = powerlaw_cluster(100, 3, 0.5, seed=1)

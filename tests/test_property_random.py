@@ -40,10 +40,10 @@ import random
 
 import pytest
 
-from repro.build import build_indexes, repair_forests
+from repro.build import build_indexes
 from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.core.gct import GCTIndex, assemble_from_forest
+from repro.core.gct import GCTIndex
 from repro.core.online import online_search
 from repro.datasets.synthetic import add_planted_cliques, erdos_renyi
 from repro.engine import QueryEngine
@@ -441,8 +441,7 @@ class TestIncrementalSuccessors:
             changed = {k for v in vertices
                        for k in set(old[v]) | set(new[v])
                        if old[v].get(k, 0) != new[v].get(k, 0)}
-            grew = nxt.num_vertices != current.num_vertices
-            invalidated = cached if grew else cached & changed
+            invalidated = cached & changed
             assert report.invalidated_thresholds == \
                 tuple(sorted(invalidated)), (name, batch)
             assert report.retained_thresholds == \
@@ -505,39 +504,6 @@ class TestIncrementalSuccessors:
         scratch = build_indexes(current.graph_view)[1]
         assert _derived_postings(current.gct) == \
             _derived_postings(scratch), name
-
-    def test_successor_drops_vertices(self, case):
-        """The shrunk-vertex-set leg, driven directly (an edge batch
-        never removes a vertex): dropping ``x`` and repairing ``N(x)``
-        equals a from-scratch build of the graph without ``x``."""
-        name, graph, _ = case
-        connected = [v for v in graph.vertices() if graph.degree(v)]
-        if not connected:
-            pytest.skip("no vertex with an ego-network to lose")
-        victim = random.Random(f"drop-{name}").choice(connected)
-        _, gct = build_indexes(graph)
-        before = _gct_bytes(gct)
-        warm = _derived_postings(gct)
-        smaller = graph.copy()
-        neighbours = set(smaller.neighbors(victim))
-        smaller.remove_vertex(victim)
-        order = list(smaller.vertices())
-        position = {v: i for i, v in enumerate(order)}
-        targets = sorted(neighbours, key=position.__getitem__)
-        repaired = repair_forests(smaller, targets)
-        next_gct = gct.successor(
-            order, {v: assemble_from_forest(repaired[v], position)
-                    for v in targets}, dropped=[victim])
-        assert _gct_bytes(next_gct) == \
-            _gct_bytes(build_indexes(smaller)[1]), name
-        assert victim not in next_gct
-        assert _gct_bytes(gct) == before, name
-        # Dropping a vertex shifts positions: the warm predecessor's
-        # postings are not patched, the successor re-derives its own.
-        assert next_gct._postings is None and gct._postings is warm, name
-        assert next_gct._zero_rows is None, name
-        assert _derived_postings(next_gct) == \
-            _derived_postings(build_indexes(smaller)[1]), name
 
 
 def _rebuilt(graph: Graph) -> Graph:

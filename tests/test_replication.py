@@ -17,6 +17,7 @@ The acceptance contract:
 * **Client retries are idempotent-only, bounded, and deterministic.**
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -59,6 +60,15 @@ def _clique_with_tail(n: int = 5) -> Graph:
     g.add_edge("c0", "tail0")
     g.add_edge("tail0", "tail1")
     return g
+
+
+def _digest_tree(root: Path):
+    """{relpath: sha256} over every file under ``root`` but the store's
+    per-root ``.lock`` and ``manifest.json`` (not replicated bytes)."""
+    return {str(path.relative_to(root)):
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name not in (".lock", "manifest.json")}
 
 
 def _ranked(graph: Graph, k: int = 3, r: int = 5):
@@ -193,6 +203,8 @@ class TestReplicateStore:
         source, follower, _, report = replicated
         assert report.files_full + report.files_delta > 0
         assert report.files_repaired == 0
+        assert report.files_skipped == 0
+        assert _digest_tree(follower) == _digest_tree(source)
         files = self._artifact_files(source)
         assert self._artifact_files(follower) == files
         for relpath in files:
@@ -209,9 +221,7 @@ class TestReplicateStore:
         # tail, reusing follower-local bytes — not as full copies.
         assert report.files_delta >= 1
         assert report.bytes_reused > 0
-        for relpath in self._artifact_files(source):
-            assert (follower / relpath).read_bytes() == \
-                (source / relpath).read_bytes(), relpath
+        assert _digest_tree(follower) == _digest_tree(source)
 
     def test_idempotent_pass_ships_nothing(self, replicated):
         source, follower, _, _ = replicated

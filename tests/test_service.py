@@ -26,6 +26,7 @@ from repro.core.online import online_search
 from repro.core.tsd import TSDIndex
 from repro.core.gct import GCTIndex
 from repro.core.hybrid import HybridSearcher
+from repro.datasets.synthetic import add_planted_cliques, powerlaw_cluster
 from repro.engine import QueryEngine
 from repro.service import (
     ContentKey,
@@ -486,16 +487,59 @@ class TestApplyBatch:
             assert _ranked(nxt.top_r(k, 9)) == \
                 _ranked(online_search(nxt.graph, k, 9)), k
 
-    def test_new_vertex_drops_every_threshold(self):
+    def test_new_vertex_keeps_unchanged_thresholds(self):
+        """A memo entry holds positive rows only; a newcomer scoring 0
+        changes none of them, so a batch that attaches one keeps every
+        threshold whose scores it left alone."""
         graph = _two_cliques()
         snap = Snapshot.build(graph)
         snap.top_r(2, 3)
         nxt, report = apply_batch(snap, [insert("a0", "newcomer")])
         assert report.vertex_set_changed
-        assert report.invalidated_thresholds == (2,)
-        assert nxt.cached_thresholds() == []
-        assert _ranked(nxt.top_r(2, 10)) == \
-            _ranked(online_search(nxt.graph, 2, 10))
+        assert report.invalidated_thresholds == ()
+        assert report.retained_thresholds == (2,)
+        result = nxt.top_r(2, 10)
+        assert result.search_space == 0
+        assert _ranked(result) == _ranked(online_search(nxt.graph, 2, 10))
+
+    def test_planted_clique_raises_the_ego_score(self, planted):
+        snap = Snapshot.build(planted)
+        before = snap.score("ego", 3)
+        fresh = [f"new_{i}" for i in range(4)]
+        batch = [insert("ego", w) for w in fresh]
+        batch += [insert(fresh[i], fresh[j])
+                  for i in range(4) for j in range(i + 1, 4)]
+        nxt, _ = apply_batch(snap, batch)
+        assert nxt.score("ego", 3) == before + 1
+
+    def test_new_vertex_scores_once_it_closes_a_wedge(self, triangle):
+        snap, _ = apply_batch(Snapshot.build(triangle), [insert(0, 99)])
+        assert snap.score(99, 2) == 0
+        snap, _ = apply_batch(snap, [insert(1, 99)])
+        # 99's ego now holds edge (0, 1): one 2-truss context.
+        assert snap.score(99, 2) == 1
+
+    def test_repair_touches_only_endpoints_and_common_neighbours(self):
+        graph = _random_graph(30, 0.15, 5)
+        if graph.has_edge(0, 1):
+            graph.remove_edge(0, 1)
+        common = len(graph.common_neighbors(0, 1))
+        _, report = apply_batch(Snapshot.build(graph), [insert(0, 1)])
+        assert report.rebuilt_forests <= 2 + common
+
+    def test_insert_then_delete_round_trip(self):
+        graph = add_planted_cliques(powerlaw_cluster(250, 4, 0.5, seed=77),
+                                    [9, 7, 6, 6], seed=78)
+        snap = Snapshot.build(graph)
+        before = _ranked(snap.top_r(3, 5))
+        edits = [(u, v) for u, v in [(0, 200), (0, 201), (200, 201)]
+                 if not graph.has_edge(u, v)]
+        assert edits
+        grown, _ = apply_batch(snap, [insert(u, v) for u, v in edits])
+        back, _ = apply_batch(grown, [delete(u, v)
+                                      for u, v in reversed(edits)])
+        assert back.graph == graph
+        assert _ranked(back.top_r(3, 5)) == before
 
     def test_input_snapshot_untouched(self):
         graph = _two_cliques()

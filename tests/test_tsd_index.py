@@ -233,54 +233,3 @@ class TestBoundOrderMemo:
             result = index.top_r(k, 2)
             assert result.scores == [0, 0]
         assert list(index._bound_cache) == [ceiling]
-
-    def test_replace_forest_invalidates(self, triangle):
-        index = TSDIndex.build(triangle)
-        before = index.top_r(2, 3)
-        assert before.scores[0] == 1
-        # A heavier forest for vertex 0 must change both its score and
-        # its bound ordering — a stale memo would keep the old answer.
-        # (4 weight-5 edges: a real 5-truss context spans >= 5 vertices,
-        # and the Section 5.2 bound assumes forests respect that.)
-        index.replace_forest(0, [(1, 2, 5), (1, 99, 5), (2, 98, 5),
-                                 (98, 97, 5)])
-        assert index._bound_cache == {}
-        after = index.top_r(5, 1)
-        assert after.vertices == [0]
-        assert after.scores == [1]
-
-    def test_drop_vertex_invalidates(self, triangle):
-        index = TSDIndex.build(triangle)
-        full = index.top_r(3, 3)
-        assert len(full.vertices) == 3
-        index.drop_vertex(full.vertices[0])
-        shrunk = index.top_r(3, 3)
-        assert full.vertices[0] not in shrunk.vertices
-
-    def test_new_vertex_enters_zero_fill(self, triangle):
-        index = TSDIndex.build(triangle)
-        index.top_r(3, 3)  # warm the memo and position map
-        index.replace_forest(99, [])
-        ranked = index.top_r(3, 4)
-        assert 99 in ranked.vertices  # zero-fill sees the newcomer
-
-
-class TestMutationHooks:
-    def test_replace_forest_new_vertex(self, triangle):
-        index = TSDIndex.build(triangle)
-        index.replace_forest(99, [(1, 2, 4)])
-        assert 99 in index
-        assert index.score(99, 4) == 1
-
-    def test_replace_forest_sorts_descending(self, triangle):
-        index = TSDIndex.build(triangle)
-        index.replace_forest(0, [(1, 2, 2), (2, 3, 5)])
-        weights = [w for _, _, w in index.forest(0)]
-        assert weights == [5, 2]
-
-    def test_drop_vertex(self, triangle):
-        index = TSDIndex.build(triangle)
-        index.drop_vertex(0)
-        assert 0 not in index
-        assert 0 not in index.vertices
-        index.drop_vertex(0)  # idempotent
