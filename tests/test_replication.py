@@ -205,11 +205,6 @@ class TestReplicateStore:
         assert report.files_repaired == 0
         assert report.files_skipped == 0
         assert _digest_tree(follower) == _digest_tree(source)
-        files = self._artifact_files(source)
-        assert self._artifact_files(follower) == files
-        for relpath in files:
-            assert (follower / relpath).read_bytes() == \
-                (source / relpath).read_bytes(), relpath
         assert read_store_manifest(follower)["graphs"] == \
             read_store_manifest(source)["graphs"]
 
