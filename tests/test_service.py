@@ -19,6 +19,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError, InvalidParameterError, StoreError
 from repro.graph.graph import Graph
@@ -38,6 +40,8 @@ from repro.service import (
     graph_fingerprint,
     insert,
 )
+
+from tests.conftest import dense_graph_strategy
 
 GRID = [(k, r) for k in (2, 3, 4, 5) for r in (1, 3, 10)]
 
@@ -540,6 +544,36 @@ class TestApplyBatch:
                                       for u, v in reversed(edits)])
         assert back.graph == graph
         assert _ranked(back.top_r(3, 5)) == before
+
+    def test_delete_reverts_to_a_scratch_build(self, triangle):
+        snap, _ = apply_batch(Snapshot.build(triangle),
+                              [insert(0, 3), insert(1, 3), insert(2, 3)])
+        assert snap.score(0, 3) == 1  # now K4
+        snap, _ = apply_batch(snap, [delete(2, 3)])
+        fresh = GCTIndex.build(snap.graph)
+        for v in snap.graph.vertices():
+            assert snap.gct.supernodes(v) == fresh.supernodes(v), v
+            assert snap.gct.superedges(v) == fresh.superedges(v), v
+
+    @given(dense_graph_strategy(max_vertices=8),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=15)
+    def test_random_edit_sequence_stays_fresh(self, graph, edits):
+        """One single-edge batch per edit: every score equals a scratch
+        TSD's, and the GCT encodes like a scratch build."""
+        snap = Snapshot.build(graph)
+        for u, v in edits:
+            if u == v:
+                continue
+            edit = delete if snap.graph_view.has_edge(u, v) else insert
+            snap, _ = apply_batch(snap, [edit(u, v)])
+        rebuilt = TSDIndex.build(snap.graph)
+        for v in snap.graph.vertices():
+            for k in (2, 3, 4, 5):
+                assert snap.score(v, k) == rebuilt.score(v, k), (v, k)
+        assert snap.gct.to_payload(include_profile=False) == \
+            GCTIndex.build(snap.graph).to_payload(include_profile=False)
 
     def test_input_snapshot_untouched(self):
         graph = _two_cliques()
