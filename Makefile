@@ -4,7 +4,7 @@
 
 PY ?= python
 
-.PHONY: lint test doctest check smoke-service smoke-server smoke-cluster smoke-parallel-build smoke-mmap smoke-chaos examples bench-e2e-quick benchmarks
+.PHONY: lint test doctest check smoke-service smoke-server smoke-cluster smoke-parallel-build smoke-mmap smoke-chaos examples bench-e2e-quick bench-e2e-traced benchmarks
 
 lint:           ## AST invariant checks (determinism, locks, exceptions, wire, ranking)
 	PYTHONPATH=src $(PY) -m repro.lint
@@ -29,7 +29,7 @@ smoke-cluster:  ## end-to-end cluster: start 2 workers, query, kill one, recover
 	PYTHONPATH=src $(PY) examples/cluster_service.py
 	PYTHONPATH=src $(PY) -m pytest -q tests/test_cluster.py tests/test_store_concurrency.py tests/test_property_random.py
 
-smoke-parallel-build:  ## jobs=2 builds must byte-match serial builds
+smoke-parallel-build:  ## forced-pool, serial and auto builds must byte-match the reference builds
 	PYTHONPATH=src $(PY) -m pytest -q tests/test_parallel_build.py
 
 smoke-mmap:     ## binary format: round-trips, corrupt artifacts, lazy LRU, delta/compact
@@ -46,6 +46,9 @@ examples:       ## every example script, executed (they assert their claims)
 
 bench-e2e-quick:  ## BENCHMARK.json's benchmark, all four workloads briefly (~10 s): oracle, durability, metric contract
 	python3 benchmarks/e2e/run.py --quick
+
+bench-e2e-traced:  ## one traced index-scan run (~20 s): exit 0, empty stderr, result line with every per-layer metric finite
+	python3 benchmarks/traced_smoke.py
 
 benchmarks:     ## full paper-reproduction report (slow)
 	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_*.py --benchmark-disable

@@ -3,27 +3,27 @@
 Public surface of the build subsystem:
 
 * :class:`BuildPlan` / :func:`~repro.build.plan.available_cpus` — the
-  serial-vs-parallel heuristic (clamped to hardware, small graphs stay
-  serial).
+  serial-vs-parallel heuristic (clamped to the CPU affinity mask, small
+  graphs stay serial).
 * :class:`ParallelIndexBuilder` — the staged pipeline (shared triangle
   pass → sharded decomposition → deterministic merge).
 * :func:`build_tsd_index` / :func:`build_gct_index` /
-  :func:`build_indexes` — one-call entry points used by
-  ``TSDIndex.build(jobs=)``, ``GCTIndex.build(jobs=)`` and
-  ``Snapshot.build(jobs=)``.
+  :func:`build_indexes` — the one-call, auto-planned entry points every
+  production build goes through (the CLI, the query engine and
+  ``Snapshot.build``).
 * :func:`repair_forests` — the affected-vertex batch repair the update
   path fans out.
 
-Every strategy produces indexes whose payloads are byte-identical
-(modulo the timing-only build profile) to the legacy serial build — the
-canonical ranking contract and the ``compress``-equals-``build``
-invariant do not bend for parallelism.
+Every plan produces indexes whose payloads are byte-identical (modulo
+the timing-only build profile) to the reference Algorithm 5 / 7 loops
+of ``TSDIndex.build`` / ``GCTIndex.build`` — the canonical ranking
+contract and the ``compress``-equals-``build`` invariant do not bend
+for parallelism.
 """
 
 from repro.build.plan import (
     DEFAULT_SERIAL_THRESHOLD_EDGES,
     MODE_PARALLEL,
-    MODE_PER_VERTEX,
     MODE_SERIAL,
     BuildPlan,
     available_cpus,
@@ -46,6 +46,5 @@ __all__ = [
     "repair_forests",
     "DEFAULT_SERIAL_THRESHOLD_EDGES",
     "MODE_PARALLEL",
-    "MODE_PER_VERTEX",
     "MODE_SERIAL",
 ]

@@ -26,7 +26,7 @@ canonical_kruskal_order` is a *total* order, so forests and GCT
 structures are pure functions of each ego-network's weighted edge set —
 independent of edge discovery order, shard assignment, and worker
 scheduling.  A parallel build is therefore **byte-identical** (modulo
-the wall-clock build profile) to the serial per-vertex build, and
+the wall-clock build profile) to the per-vertex reference build, and
 ``GCTIndex.compress(parallel TSD) == GCTIndex.build(graph)`` survives
 (property-tested in ``tests/test_parallel_build.py``).
 
@@ -49,7 +49,6 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph, Vertex
 from repro.graph.egonet import (
     EgoIdEdge,
@@ -60,12 +59,7 @@ from repro.truss.bitmap_decomposition import bitmap_truss_decomposition
 from repro.core.tsd import BuildProfile, ForestEdge, TSDIndex
 from repro.util.dsu import DisjointSet
 from repro.core.gct import GCTIndex, Supernode, Superedge, assemble_gct
-from repro.build.plan import (
-    MODE_PARALLEL,
-    MODE_PER_VERTEX,
-    MODE_SERIAL,
-    BuildPlan,
-)
+from repro.build.plan import MODE_PARALLEL, BuildPlan
 
 #: Forest on ids: ``(a, b, weight)`` triples, weight-descending.
 IdForest = List[Tuple[int, int, int]]
@@ -314,14 +308,10 @@ class ParallelIndexBuilder:
     3
     """
 
-    def __init__(self, graph: Graph, jobs: Optional[int] = 0,
+    def __init__(self, graph: Graph, jobs: int = 0,
                  plan: Optional[BuildPlan] = None) -> None:
         if plan is None:
             plan = BuildPlan.decide(graph.num_edges, jobs)
-        if plan.mode == MODE_PER_VERTEX:
-            raise InvalidParameterError(
-                "per-vertex builds bypass the pipeline; call "
-                "TSDIndex.build(graph) / GCTIndex.build(graph) directly")
         self._graph = graph
         self.plan = plan
         self._labels: Optional[List[Vertex]] = None
@@ -421,45 +411,27 @@ class ParallelIndexBuilder:
 # ----------------------------------------------------------------------
 # Functional entry points
 # ----------------------------------------------------------------------
-def build_tsd_index(graph: Graph, jobs: Optional[int] = 0,
+def build_tsd_index(graph: Graph, jobs: int = 0,
                     plan: Optional[BuildPlan] = None) -> TSDIndex:
-    """Build a TSD-index under a :class:`BuildPlan` (``jobs=0`` auto).
-
-    ``jobs=None`` (or an explicit per-vertex plan) falls back to the
-    legacy loop — this is what :meth:`TSDIndex.build` delegates to.
-    """
-    if plan is None:
-        plan = BuildPlan.decide(graph.num_edges, jobs)
-    if plan.mode == MODE_PER_VERTEX:
-        return TSDIndex.build(graph)
-    return ParallelIndexBuilder(graph, plan=plan).build_tsd()
+    """Build a TSD-index under a :class:`BuildPlan` (``jobs=0`` auto)."""
+    return ParallelIndexBuilder(graph, jobs, plan).build_tsd()
 
 
-def build_gct_index(graph: Graph, jobs: Optional[int] = 0,
+def build_gct_index(graph: Graph, jobs: int = 0,
                     plan: Optional[BuildPlan] = None) -> GCTIndex:
     """Build a GCT-index under a :class:`BuildPlan` (``jobs=0`` auto)."""
-    if plan is None:
-        plan = BuildPlan.decide(graph.num_edges, jobs)
-    if plan.mode == MODE_PER_VERTEX:
-        return GCTIndex.build(graph)
-    return ParallelIndexBuilder(graph, plan=plan).build_gct()
+    return ParallelIndexBuilder(graph, jobs, plan).build_gct()
 
 
-def build_indexes(graph: Graph, jobs: Optional[int] = 0,
+def build_indexes(graph: Graph, jobs: int = 0,
                   plan: Optional[BuildPlan] = None
                   ) -> Tuple[TSDIndex, GCTIndex]:
     """Build the (TSD, GCT) pair a serving snapshot needs, sharing one
     extraction and one decomposition across both indexes."""
-    if plan is None:
-        plan = BuildPlan.decide(graph.num_edges, jobs)
-    if plan.mode == MODE_PER_VERTEX:
-        tsd = TSDIndex.build(graph)
-        return tsd, GCTIndex.compress(tsd)
-    return ParallelIndexBuilder(graph, plan=plan).build_both()
+    return ParallelIndexBuilder(graph, jobs, plan).build_both()
 
 
 def repair_forests(graph: Graph, vertices: Sequence[Vertex],
-                   jobs: Optional[int] = None,
                    plan: Optional[BuildPlan] = None, *,
                    labels: Optional[List[Vertex]] = None,
                    ids: Optional[Dict[Vertex, int]] = None
@@ -474,8 +446,9 @@ def repair_forests(graph: Graph, vertices: Sequence[Vertex],
     byte-identical to the serial ``ego_network`` +
     ``truss_decomposition`` + ``maximum_spanning_forest`` chain.
 
-    ``jobs=None`` here means *serial* (repairs are usually tiny);
-    ``jobs=0`` auto-plans from the affected ego volume.  ``labels`` /
+    The plan is decided on the affected ego volume, not the graph
+    size, so a usual small batch stays in-process; ``plan`` overrides
+    it (the pool-equality tests force a pool this way).  ``labels`` /
     ``ids`` (the graph's insertion order and its inverse) may be passed
     by callers that already hold them — the update path does — so a
     small batch on a huge graph does not pay an O(|V|) remap here.
@@ -487,11 +460,7 @@ def repair_forests(graph: Graph, vertices: Sequence[Vertex],
     targets = [v for v in vertices if v in graph]
     ego_lists = {v: ego_edge_id_list(graph, ids, v) for v in targets}
     if plan is None:
-        if jobs is None:
-            plan = BuildPlan(MODE_SERIAL, 1, "serial repair (jobs=None)")
-        else:
-            # Plan on the actual repair volume, not the graph size.
-            plan = BuildPlan.decide(sum(map(len, ego_lists.values())), jobs)
+        plan = BuildPlan.decide(sum(map(len, ego_lists.values())))
     vid_of = {ids[v]: v for v in targets}
     buckets: Dict[int, List[EgoIdEdge]] = {
         ids[v]: ego_lists[v] for v in targets}

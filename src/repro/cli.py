@@ -59,24 +59,8 @@ from repro.core.tsd import TSDIndex
 from repro.core.gct import GCTIndex
 from repro.community.tcp import TCPIndex
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.engine import ENGINE_METHODS, EngineConfig, QueryEngine
+from repro.engine import ENGINE_METHODS, QueryEngine
 from repro.errors import IndexFormatError
-
-
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--jobs`` flag of every index-building subcommand."""
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="index-build workers: 0 auto-plans (shared-pass build, "
-             "worker pool only when the graph is large and CPUs are "
-             "spare), 1 forces the serial shared pass, N>=2 requests N "
-             "worker processes, -1 keeps the legacy per-vertex build "
-             "(default: %(default)s)")
-
-
-def _jobs_value(args: argparse.Namespace):
-    """CLI ``--jobs`` to library ``jobs``: ``-1`` means ``None``."""
-    return None if args.jobs < 0 else args.jobs
 
 
 def _load_graph(path: str) -> Graph:
@@ -104,7 +88,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_topr(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    engine = QueryEngine(graph, EngineConfig(build_jobs=_jobs_value(args)))
+    engine = QueryEngine(graph)
     result = engine.top_r(args.k, args.r, method=args.method)
     if args.method == "auto":
         for decision in engine.stats().decisions:
@@ -160,12 +144,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_index(args: argparse.Namespace) -> int:
+    from repro.build import build_gct_index, build_tsd_index
     graph = _load_graph(args.graph)
-    jobs = _jobs_value(args)
     if args.type == "tsd":
-        index = TSDIndex.build(graph, jobs=jobs)
+        index = build_tsd_index(graph)
     else:
-        index = GCTIndex.build(graph, jobs=jobs)
+        index = build_gct_index(graph)
     index.save(args.out)
     profile = index.build_profile
     print(f"{args.type.upper()}-index of {graph.num_vertices} vertices "
@@ -192,7 +176,7 @@ def _cmd_serve_build(args: argparse.Namespace) -> int:
     from repro.service import IndexStore
     graph = _load_graph(args.graph)
     store = IndexStore(args.store)
-    engine = QueryEngine(graph, EngineConfig(build_jobs=_jobs_value(args)))
+    engine = QueryEngine(graph)
     version = engine.persist(store, artifacts=("gct",))
     build_seconds = sum(engine.stats().index_build_seconds.values())
     print(f"stored {', '.join(version.artifact_names)} for graph "
@@ -265,7 +249,6 @@ def _cmd_serve_cluster(args: argparse.Namespace, pairs: List[tuple]) -> int:
     """``repro serve --workers N``: the process-sharded cluster path."""
     from repro.cluster import ShardedCluster
     cluster = ShardedCluster(args.workers, store_root=args.store or None,
-                             build_jobs=_jobs_value(args),
                              host=args.host,
                              followers=args.replicas,
                              quiet=args.quiet)
@@ -319,7 +302,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 1
     if args.workers > 0:
         return _cmd_serve_cluster(args, pairs)
-    router = DiversityRouter(store=store, build_jobs=_jobs_value(args))
+    router = DiversityRouter(store=store)
     for name, path in pairs:
         service = router.add_graph(name, _load_graph(path))
         snapshot = service.snapshot
@@ -451,9 +434,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import summarize_scores
-    from repro.core.gct import GCTIndex
+    from repro.build import build_gct_index
     graph = _load_graph(args.graph)
-    index = GCTIndex.build(graph)
+    index = build_gct_index(graph)
     summary = summarize_scores(index.scores_for_all(args.k))
     print(f"structural diversity at k={args.k} over "
           f"{summary.count:,} vertices:")
@@ -522,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "planner choose")
     p.add_argument("--contexts", action="store_true",
                    help="print the social contexts of each answer vertex")
-    _add_jobs_flag(p)
     p.set_defaults(func=_cmd_topr)
 
     p = sub.add_parser("engine-stats",
@@ -545,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("out")
     p.add_argument("--type", choices=["tsd", "gct"], default="gct")
-    _add_jobs_flag(p)
     p.set_defaults(func=_cmd_build_index)
 
     p = sub.add_parser("query-index", help="top-r from a persisted index")
@@ -559,7 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "for later warm starts")
     p.add_argument("graph")
     p.add_argument("store", help="index-store directory (created if missing)")
-    _add_jobs_flag(p)
     p.set_defaults(func=_cmd_serve_build)
 
     p = sub.add_parser("serve-warm",
@@ -607,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: %(default)s)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-request access logs")
-    _add_jobs_flag(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("replicate",

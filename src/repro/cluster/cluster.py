@@ -184,10 +184,6 @@ class ShardedCluster:
         (``<root>/worker<slot>``).  Defaults to a cluster-owned
         temporary directory removed on :meth:`stop`; pass a real path
         to keep artifacts across cluster restarts.
-    build_jobs:
-        Forwarded to every worker's router (the PR-4 ``BuildPlan``
-        knob).  Workers are daemonic, where pool dispatch degrades to
-        the byte-identical in-process build.
     pins:
         Explicit ``{name: slot}`` shard overrides.
     supervise:
@@ -216,7 +212,6 @@ class ShardedCluster:
 
     def __init__(self, workers: int, *,
                  store_root=None,
-                 build_jobs: Optional[int] = 0,
                  pins: Optional[Dict[str, int]] = None,
                  replicas: int = DEFAULT_REPLICAS,
                  host: str = "127.0.0.1",
@@ -237,7 +232,6 @@ class ShardedCluster:
         self.shard_map = ShardMap(workers, replicas=replicas, pins=pins)
         self.followers = followers
         self.replication_interval = replication_interval
-        self.build_jobs = build_jobs
         self.host = host
         self.supervise = supervise
         self.restart_interval = restart_interval
@@ -378,8 +372,7 @@ class ShardedCluster:
         store_root = self._store_root / f"worker{slot}"
         process = ctx.Process(
             target=run_worker,
-            args=(slot, self.host, 0, str(store_root), self.build_jobs,
-                  child, self.quiet),
+            args=(slot, self.host, 0, str(store_root), child, self.quiet),
             name=f"repro-worker-{slot}", daemon=True)
         process.start()
         child.close()

@@ -25,10 +25,9 @@ replayed graphs warm-start from the artifacts their previous
 incarnation persisted: recovery costs a process spawn plus artifact
 loads, not index rebuilds.
 
-Index builds inside the worker go through the PR-4
-:class:`~repro.build.BuildPlan` machinery (``build_jobs`` is forwarded
-to the router); cluster workers are daemonic, where
-:mod:`repro.build.parallel` already degrades pool dispatch to the
+Index builds inside the worker go through the auto-planned
+:mod:`repro.build` pipeline; cluster workers are daemonic, where
+:mod:`repro.build.parallel` degrades pool dispatch to the
 byte-identical in-process path.
 """
 
@@ -129,7 +128,6 @@ class WorkerHTTPServer(DiversityHTTPServer):
 
 def run_worker(slot: int, host: str, port: int,
                store_root: Optional[str],
-               build_jobs: Optional[int],
                ready, quiet: bool = True) -> None:  # pragma: no cover
     """Worker process entry point (target of the cluster's spawn).
 
@@ -142,7 +140,7 @@ def run_worker(slot: int, host: str, port: int,
     """
     try:
         store = IndexStore(store_root) if store_root else None
-        router = DiversityRouter(store=store, build_jobs=build_jobs)
+        router = DiversityRouter(store=store)
         server = WorkerHTTPServer((host, port), router, slot, quiet=quiet)
     except BaseException as exc:
         try:

@@ -267,21 +267,15 @@ class GCTIndex:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: Graph, jobs: Optional[int] = None,
-              plan=None) -> "GCTIndex":
+    def build(cls, graph: Graph) -> "GCTIndex":
         """Algorithm 7 end-to-end: one-shot extraction, bitmap peeling,
         Algorithm 8 assembly.  Phase timings land in :attr:`build_profile`.
 
-        ``jobs=None`` (default) keeps this single-threaded loop; any
-        other value routes through the :mod:`repro.build` pipeline
-        (``0`` auto-plans, ``1`` forces the serial shared pass, ``>= 2``
-        requests a worker pool — see
-        :meth:`repro.build.BuildPlan.decide`), producing a
+        This single-threaded loop is the reference implementation and
+        the source of Table 4's phase timings; served and CLI builds go
+        through :func:`repro.build.build_gct_index`, which produces a
         byte-identical index (modulo the build profile).
         """
-        if jobs is not None or plan is not None:
-            from repro.build import build_gct_index
-            return build_gct_index(graph, jobs=jobs, plan=plan)
         watch = StopWatch()
         with watch.phase("extraction"):
             ego_lists = list(iter_ego_edge_lists(graph))

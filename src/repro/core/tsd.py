@@ -232,30 +232,18 @@ class TSDIndex:
     # Construction (Algorithm 5)
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: Graph, jobs: Optional[int] = None,
-              plan=None) -> "TSDIndex":
-        """Construct the TSD-index.
+    def build(cls, graph: Graph) -> "TSDIndex":
+        """Construct the TSD-index with the paper's Algorithm 5 loop.
 
-        ``jobs=None`` (the backwards-compatible default) runs the
-        per-vertex Algorithm 5 loop: extract ``G_N(v)`` (triangle
-        listing), truss-decompose it (Algorithm 1), build the maximum
-        spanning forest of the trussness-weighted ego-network.  Phase
-        timings are recorded in :attr:`build_profile` for the Table 4
-        comparison.
-
-        Any other ``jobs`` value routes through the
-        :mod:`repro.build` pipeline — one shared triangle pass feeding
-        in-process or multi-process decomposition (``0`` auto-plans,
-        ``1`` forces the serial shared pass, ``>= 2`` requests that many
-        workers; see :meth:`repro.build.BuildPlan.decide`).  ``plan``
-        overrides the heuristic with an explicit
-        :class:`~repro.build.BuildPlan`.  Every strategy returns an
-        index whose :meth:`to_payload` is byte-identical (modulo the
-        build profile) to this per-vertex build.
+        Per vertex: extract ``G_N(v)`` (triangle listing),
+        truss-decompose it (Algorithm 1), build the maximum spanning
+        forest of the trussness-weighted ego-network.  Phase timings
+        are recorded in :attr:`build_profile` for the Table 4
+        comparison.  This is the reference implementation; served and
+        CLI builds go through :func:`repro.build.build_tsd_index`, whose
+        shared triangle pass produces a byte-identical
+        :meth:`to_payload` (modulo the build profile).
         """
-        if jobs is not None or plan is not None:
-            from repro.build import build_tsd_index
-            return build_tsd_index(graph, jobs=jobs, plan=plan)
         watch = StopWatch()
         forests: Dict[Vertex, List[ForestEdge]] = {}
         for v in graph.vertices():

@@ -203,15 +203,14 @@ class QueryEngine:
     def tsd_index(self) -> TSDIndex:
         """The TSD-index, built on first access and cached.
 
-        Construction follows ``config.build_jobs`` through the
-        :mod:`repro.build` pipeline (auto-planned shared pass by
-        default); the measured seconds — of whatever strategy actually
-        ran — recalibrate the planner's build-versus-scan break-even.
+        Construction runs the auto-planned :mod:`repro.build` pipeline;
+        the measured seconds — of whatever strategy actually ran —
+        recalibrate the planner's build-versus-scan break-even.
         """
         if self._tsd is None and not self._load_stored("tsd"):
+            from repro.build import build_tsd_index
             start = time.perf_counter()
-            self._tsd = TSDIndex.build(self._graph,
-                                       jobs=self.config.build_jobs)
+            self._tsd = build_tsd_index(self._graph)
             self._build_seconds["tsd"] = time.perf_counter() - start
             self.planner.observe_build("tsd", self._build_seconds["tsd"])
         return self._tsd
@@ -232,8 +231,8 @@ class QueryEngine:
             if self._tsd is not None:
                 self._gct = GCTIndex.compress(self._tsd)
             else:
-                self._gct = GCTIndex.build(self._graph,
-                                           jobs=self.config.build_jobs)
+                from repro.build import build_gct_index
+                self._gct = build_gct_index(self._graph)
             self._build_seconds["gct"] = time.perf_counter() - start
             self.planner.observe_build("gct", self._build_seconds["gct"])
         return self._gct

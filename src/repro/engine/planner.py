@@ -55,24 +55,18 @@ class EngineConfig:
     score_cache_size:
         Number of distinct thresholds ``k`` whose ranked positive
         rows stay memoised (LRU).
-    build_jobs:
-        Worker request forwarded to every index build the engine
-        triggers (see :meth:`repro.build.BuildPlan.decide`): ``0`` (the
-        default) auto-plans — the shared-pass pipeline, with a worker
-        pool only when the graph is large and CPUs are spare; ``1``
-        forces the serial shared pass; ``>= 2`` requests that many
-        workers; ``None`` keeps the legacy per-vertex build.  Whatever
-        the strategy, the built indexes are byte-identical, and the
-        *measured* build seconds flow into
-        :meth:`QueryPlanner.observe_build` — so the break-even between
-        online scans and index builds is calibrated against the build
-        cost this configuration actually achieves.
+
+    Index builds always go through :mod:`repro.build`, which plans
+    serial or pooled execution from the graph's size and the CPUs this
+    process may use; the *measured* build seconds flow into
+    :meth:`QueryPlanner.observe_build`, so the break-even between
+    online scans and index builds is calibrated against the build cost
+    actually achieved.
     """
 
     small_graph_edges: int = 2_000
     index_reuse_threshold: int = 2
     score_cache_size: int = 8
-    build_jobs: Optional[int] = 0
 
     def __post_init__(self) -> None:
         if self.small_graph_edges < 0:
@@ -85,9 +79,6 @@ class EngineConfig:
         if self.score_cache_size < 1:
             raise InvalidParameterError(
                 f"score_cache_size must be >= 1, got {self.score_cache_size}")
-        if self.build_jobs is not None and self.build_jobs < 0:
-            raise InvalidParameterError(
-                f"build_jobs must be None or >= 0, got {self.build_jobs}")
 
 
 @dataclass(frozen=True)

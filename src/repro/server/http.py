@@ -133,6 +133,12 @@ def _coerce_updates(body: object) -> List[Tuple[str, object, object]]:
     return updates
 
 
+def _reject_constant(name: str) -> object:
+    """``NaN`` / ``Infinity`` / ``-Infinity`` are not JSON: a NaN label
+    would even pass the self-loop check (``NaN != NaN``)."""
+    raise InvalidParameterError(f"{name} is not a JSON value")
+
+
 class DiversityRequestHandler(WireRequestHandler):
     """Maps the JSON API onto the owning server's router."""
 
@@ -150,7 +156,8 @@ class DiversityRequestHandler(WireRequestHandler):
         if not self._raw_body:
             return None
         try:
-            return json.loads(self._raw_body.decode("utf-8"))
+            return json.loads(self._raw_body.decode("utf-8"),
+                              parse_constant=_reject_constant)
         except ValueError as exc:
             raise InvalidParameterError(
                 f"request body is not valid JSON ({exc})") from exc

@@ -84,20 +84,12 @@ class DiversityRouter:
         to one).  Every registered graph warm-starts from it when its
         content is already catalogued and persists its artifacts into
         it otherwise.
-    build_jobs:
-        Worker request for every cold build and update repair of every
-        registered service (see :meth:`repro.build.BuildPlan.decide`;
-        ``0`` auto-plans, ``None`` keeps the legacy per-vertex build).
-        One router-level knob because a fleet shares one machine — the
-        plan clamps to the hardware budget either way.
     """
 
-    def __init__(self, store: Optional[IndexStore] = None,
-                 build_jobs: Optional[int] = 0) -> None:
+    def __init__(self, store: Optional[IndexStore] = None) -> None:
         if store is not None and not isinstance(store, IndexStore):
             store = IndexStore(store)
         self._store = store
-        self.build_jobs = build_jobs
         self._services: Dict[str, DiversityService] = {}
         self._pending: Set[str] = set()  # names mid-registration
         self._registry_lock = threading.Lock()
@@ -140,8 +132,7 @@ class DiversityRouter:
                     f"a graph named {name!r} is already registered")
             self._pending.add(name)  # reserve while building
         try:
-            service = DiversityService.start(graph, store=self._store,
-                                             build_jobs=self.build_jobs)
+            service = DiversityService.start(graph, store=self._store)
         except BaseException:
             with self._registry_lock:
                 self._pending.discard(name)

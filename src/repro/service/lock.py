@@ -1,6 +1,6 @@
 """Cross-process writer lock with owner-pid liveness (``<root>/.lock``).
 
-The store's writer lock has two jobs: serialise writers that share a
+The store's writer lock has two duties: serialise writers that share a
 root across processes, and *never wedge* when a writer dies holding it.
 Both acquisition paths record the holder's pid in the lock file so a
 stuck store is diagnosable over the wire (who holds — or last held —

@@ -57,15 +57,9 @@ class DiversityService:
     """
 
     def __init__(self, snapshot: Snapshot,
-                 store: Optional[IndexStore] = None,
-                 build_jobs: Optional[int] = 0) -> None:
+                 store: Optional[IndexStore] = None) -> None:
         self._snapshot = snapshot
         self._store = store
-        #: Worker request for every build this service triggers (cold
-        #: snapshot builds and update-batch ego repairs); see
-        #: :meth:`repro.build.BuildPlan.decide`.  Artifacts are
-        #: byte-identical whatever the strategy.
-        self.build_jobs = build_jobs
         self._write_lock = threading.Lock()
         # Counters get their own lock: the *serving* path stays
         # lock-free (one atomic snapshot-reference read), but a bare
@@ -96,39 +90,33 @@ class DiversityService:
     # ------------------------------------------------------------------
     @classmethod
     def start(cls, graph: Graph,
-              store: Optional[IndexStore] = None,
-              build_jobs: Optional[int] = 0) -> "DiversityService":
+              store: Optional[IndexStore] = None) -> "DiversityService":
         """Serve ``graph``, warm when the store already knows it.
 
         With a store: a stored GCT for this graph's content is loaded
         (zero index builds); otherwise the service cold-builds once —
-        through the :mod:`repro.build` pipeline under ``build_jobs`` —
-        and persists the GCT so the *next* start is warm.  The graph is
-        hashed once, and the snapshot keeps the key for its update
-        batches to derive theirs from.
+        through the :mod:`repro.build` pipeline — and persists the GCT
+        so the *next* start is warm.  The graph is hashed once, and the
+        snapshot keeps the key for its update batches to derive theirs
+        from.
         """
         if store is None:
-            return cls.cold(graph, build_jobs=build_jobs)
+            return cls.cold(graph)
         content = ContentKey.of(graph)
         if store.has(graph, key=content.digest) and "gct" in store.current(
                 graph, key=content.digest).artifacts:
-            return cls.warm(graph, store, build_jobs=build_jobs,
-                            content=content)
-        return cls.cold(graph, store=store, build_jobs=build_jobs,
-                        content=content)
+            return cls.warm(graph, store, content=content)
+        return cls.cold(graph, store=store, content=content)
 
     @classmethod
-    def warm(cls, graph: Graph, store: IndexStore,
-             build_jobs: Optional[int] = 0, *,
+    def warm(cls, graph: Graph, store: IndexStore, *,
              content: Optional[ContentKey] = None) -> "DiversityService":
         """Serve from the stored GCT only — no index builds at all.
 
         Only the current version's ``gct`` artifact is opened; any other
         artifact a record names (``tsd``/``hybrid`` persisted through
         :meth:`~repro.engine.QueryEngine.persist`, or an older release's
-        ``scores``) is left unread.  ``build_jobs`` still matters later:
-        update batches repair affected ego-networks under it.
-        ``content`` is the graph's
+        ``scores``) is left unread.  ``content`` is the graph's
         :class:`~repro.service.store.ContentKey` when the caller already
         computed it (otherwise this hashes the graph).  Raises
         :class:`~repro.errors.StoreError` when the store has no lineage
@@ -143,19 +131,18 @@ class DiversityService:
         snapshot = Snapshot(graph, gct=loaded.gct,
                             version=loaded.version.version,
                             key=loaded.version.key, content=content)
-        service = cls(snapshot, store=store, build_jobs=build_jobs)
+        service = cls(snapshot, store=store)
         service.warm_started = True
         return service
 
     @classmethod
     def cold(cls, graph: Graph,
-             store: Optional[IndexStore] = None,
-             build_jobs: Optional[int] = 0, *,
+             store: Optional[IndexStore] = None, *,
              content: Optional[ContentKey] = None) -> "DiversityService":
         """Build the snapshot from scratch; persist it when given a store
         (``content`` as in :meth:`warm`)."""
-        snapshot = Snapshot.build(graph, jobs=build_jobs, content=content)
-        service = cls(snapshot, store=store, build_jobs=build_jobs)
+        snapshot = Snapshot.build(graph, content=content)
+        service = cls(snapshot, store=store)
         if store is not None:
             version = store.put(graph, gct=snapshot.gct,
                                 key=snapshot.content_key)
@@ -214,8 +201,7 @@ class DiversityService:
         """
         with self._write_lock:
             current = self._snapshot
-            next_snapshot, report = apply_batch(current, updates,
-                                                jobs=self.build_jobs)
+            next_snapshot, report = apply_batch(current, updates)
             if self._store is not None:
                 previous = self._version_of(current)
                 # graph_view: store writes only read the graph, and

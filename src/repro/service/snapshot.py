@@ -131,22 +131,21 @@ class Snapshot:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: Graph, jobs: Optional[int] = 0,
+    def build(cls, graph: Graph,
               content: Optional["ContentKey"] = None) -> "Snapshot":
         """Cold-build a snapshot straight from a graph.
 
         Construction goes through the :mod:`repro.build` pipeline: one
         shared triangle pass and one decomposition assemble the GCT
         (the pass yields the TSD forests on the way, which are not
-        kept), auto-planned serial or multi-process by ``jobs`` (see
-        :meth:`repro.build.BuildPlan.decide`; ``None`` keeps the legacy
-        per-vertex build + compress).  The resulting artifacts are
-        byte-identical across strategies, so snapshots built with
-        different ``jobs`` values share store lineages.  ``content`` is
-        passed through to the constructor.
+        kept), planned serial or multi-process from the graph's size and
+        the CPUs this process may use.  The resulting artifacts are
+        byte-identical whatever the plan, so snapshots built on
+        different hosts share store lineages.  ``content`` is passed
+        through to the constructor.
         """
         from repro.build import build_indexes
-        _, gct = build_indexes(graph, jobs=jobs)
+        _, gct = build_indexes(graph)
         return cls(graph, gct=gct, content=content)
 
     # ------------------------------------------------------------------

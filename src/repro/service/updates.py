@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.errors import GraphError, InvalidParameterError
 from repro.graph.graph import Graph, Vertex
@@ -70,7 +70,8 @@ class EdgeUpdate:
             raise InvalidParameterError(
                 f"unknown update op {self.op!r}; expected 'insert' or "
                 "'delete'")
-        if self.u == self.v:
+        # ``is`` too: one NaN object is not equal to itself.
+        if self.u is self.v or self.u == self.v:
             raise GraphError(
                 f"self-loop update on {self.u!r} is not allowed")
 
@@ -151,8 +152,7 @@ def _old_profile(snapshot: Snapshot, v: Vertex) -> Dict[int, int]:
     return gct.score_profile(v) if v in gct else {}
 
 
-def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
-                jobs: Optional[int] = None,
+def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike]
                 ) -> Tuple[Snapshot, UpdateReport]:
     """Apply an edge batch to a snapshot, producing the next snapshot.
 
@@ -169,11 +169,10 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
     * exactly the cache entries whose thresholds survived invalidation.
 
     The affected-vertex ego repair runs through
-    :func:`repro.build.repair_forests`: ``jobs=None`` (default) repairs
-    in-process, ``0`` auto-plans, ``>= 2`` fans the affected
-    ego-networks out to a worker pool — a batch touching many hubs is a
-    miniature index build, and shards the same way.  The repaired
-    forests are byte-identical in every mode.
+    :func:`repro.build.repair_forests`, which plans on the repair
+    volume: a batch touching many hubs is a miniature index build and
+    fans out to a worker pool the same way, a small one stays
+    in-process.  The repaired forests are byte-identical in every mode.
     """
     start = time.perf_counter()
     batch = [_coerce(update) for update in updates]
@@ -223,7 +222,7 @@ def apply_batch(snapshot: Snapshot, updates: Sequence[UpdateLike],
     from repro.build import repair_forests
     targets = sorted(affected, key=position.__getitem__)
     repaired: Dict[Vertex, List[ForestEdge]] = repair_forests(
-        graph, targets, jobs=jobs, labels=order, ids=position)
+        graph, targets, labels=order, ids=position)
     new_forests = {w: repaired[w] for w in targets}
     new_profiles: Dict[Vertex, Dict[int, int]] = {
         w: profile_from_weights(((a, b), weight)

@@ -26,7 +26,11 @@ from repro.core.gct import GCTIndex, Supernode, Superedge
 from repro.core.tsd import BuildProfile, ForestEdge, TSDIndex
 from repro.errors import ArtifactFormatError
 from repro.storage.format import KIND_GCT, KIND_TSD, KIND_NAMES
-from repro.storage.reader import DEFAULT_CACHE_RECORDS, ArtifactReader
+from repro.storage.reader import (
+    DEFAULT_CACHE_RECORDS,
+    ArtifactReader,
+    MissingRecordError,
+)
 
 
 class _LazyRecordMap(Mapping):
@@ -42,11 +46,17 @@ class _LazyRecordMap(Mapping):
     def reader(self) -> ArtifactReader:
         return self._reader
 
-    def _pos(self, v) -> int:
+    def _fetch(self, read, v):
+        """``read(pos)`` at ``v``'s position, or ``KeyError(v)`` when
+        ``v`` has no stored record.  The reader looks the offset
+        dictionary entry up only on a record-LRU miss, and only once."""
         pos = self._position.get(v)
-        if pos is None or not self._reader.has(pos):
-            raise KeyError(v)
-        return pos
+        if pos is not None:
+            try:
+                return read(pos)
+            except MissingRecordError:
+                pass
+        raise KeyError(v)
 
     def __contains__(self, v) -> bool:
         pos = self._position.get(v)
@@ -75,12 +85,12 @@ class LazyForestMap(_LazyRecordMap):
         super().__init__(reader)
 
     def __getitem__(self, v) -> List[ForestEdge]:
-        return self._reader.forest(self._pos(v))
+        return self._fetch(self._reader.forest, v)
 
     def weights(self, v) -> List[int]:
         """One forest's weight column (descending) — the bound-pass
         fast path, no label decoding."""
-        return self._reader.weights(self._pos(v))
+        return self._fetch(self._reader.weights, v)
 
     @property
     def max_weight(self) -> int:
@@ -99,16 +109,16 @@ class LazySupernodeMap(_LazyRecordMap):
         super().__init__(reader)
 
     def __getitem__(self, v) -> List[Supernode]:
-        return self._reader.supernodes(self._pos(v))
+        return self._fetch(self._reader.supernodes, v)
 
     def record(self, v) -> Tuple[List[Supernode], List[Superedge]]:
         """``(supernodes, superedges)`` of ``v`` — one position lookup
         and one record fetch (what :meth:`GCTIndex.contexts` reads)."""
-        return self._reader.gct_record(self._pos(v))
+        return self._fetch(self._reader.gct_record, v)
 
     def tau_sorted(self, v) -> List[int]:
         """Descending supernode taus — Lemma-3 prefix decode."""
-        return self._reader.summary(self._pos(v))[0]
+        return self._fetch(self._reader.summary, v)[0]
 
     def summaries(self) -> Iterator[Tuple[int, List[int], List[int]]]:
         """``(position, taus, superedge weights)`` of every record in
@@ -121,11 +131,11 @@ class LazySuperedgeMap(_LazyRecordMap):
     """``vertex → superedge list`` over the same GCT artifact."""
 
     def __getitem__(self, v) -> List[Superedge]:
-        return self._reader.superedges(self._pos(v))
+        return self._fetch(self._reader.superedges, v)
 
     def weight_sorted(self, v) -> List[int]:
         """Descending superedge weights — Lemma-3 prefix decode."""
-        return self._reader.summary(self._pos(v))[1]
+        return self._fetch(self._reader.summary, v)[1]
 
 
 def open_tsd_artifact(path,

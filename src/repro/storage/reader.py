@@ -48,6 +48,10 @@ from repro.storage.writer import profile_payload_from_blob
 DEFAULT_CACHE_RECORDS = 1024
 
 
+class MissingRecordError(ArtifactFormatError):
+    """A position whose offset-dictionary entry holds no record."""
+
+
 class ArtifactReader:
     """Read-only, lazily decoding view of one binary index artifact.
 
@@ -210,7 +214,7 @@ class ArtifactReader:
         self._check_kind(want_kind)
         off, length = self._entry(pos)
         if length == 0:
-            raise ArtifactFormatError(
+            raise MissingRecordError(
                 self._source, f"position {pos} has no stored record")
         return off, length
 

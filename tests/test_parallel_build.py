@@ -1,9 +1,11 @@
 """Build-equivalence properties of the :mod:`repro.build` pipeline.
 
-The contract under test: every build strategy — legacy per-vertex,
-serial shared-pass, and true multi-process — produces indexes whose
-payloads are byte-identical (modulo the wall-clock build profile), and
-the ``compress``-equals-``build`` invariant survives parallelism.
+The contract under test: every build plan — serial shared-pass, true
+multi-process, and whatever the auto plan picks on this machine —
+produces indexes whose payloads are byte-identical (modulo the
+wall-clock build profile) to the reference Algorithm 5 / 7 loops of
+``TSDIndex.build`` / ``GCTIndex.build``, and the
+``compress``-equals-``build`` invariant survives parallelism.
 """
 
 import json
@@ -16,16 +18,17 @@ from repro.core.tsd import TSDIndex
 from repro.core.gct import GCTIndex
 from repro.build import (
     MODE_PARALLEL,
-    MODE_PER_VERTEX,
     MODE_SERIAL,
     BuildPlan,
     ParallelIndexBuilder,
+    build_gct_index,
     build_indexes,
+    build_tsd_index,
     repair_forests,
 )
 from repro.service.snapshot import Snapshot
 from repro.service.updates import apply_batch, insert, delete
-from repro.engine import EngineConfig, QueryEngine
+from repro.engine import QueryEngine
 from repro.datasets.paper import figure1_graph
 from repro.datasets.synthetic import (
     erdos_renyi,
@@ -48,6 +51,10 @@ def forced(jobs: int) -> BuildPlan:
     return BuildPlan(MODE_PARALLEL, jobs, "forced by test")
 
 
+#: The in-process plan, whatever the graph size or CPU budget.
+SERIAL = BuildPlan(MODE_SERIAL, 1, "forced by test")
+
+
 def random_graphs():
     yield figure1_graph()
     yield Graph()                                    # empty
@@ -68,25 +75,26 @@ class TestTSDBuildEquivalence:
     def test_parallel_matches_serial(self, jobs):
         for graph in random_graphs():
             serial = TSDIndex.build(graph)
-            parallel = TSDIndex.build(graph, jobs=jobs, plan=forced(jobs))
+            parallel = build_tsd_index(graph, plan=forced(jobs))
             assert payload_bytes(parallel) == payload_bytes(serial)
 
     def test_shared_serial_matches_per_vertex(self):
         for graph in random_graphs():
-            assert (payload_bytes(TSDIndex.build(graph, jobs=1))
+            assert (payload_bytes(build_tsd_index(graph, jobs=1))
                     == payload_bytes(TSDIndex.build(graph)))
 
     def test_public_jobs_api_matches_serial(self):
-        # Whatever plan jobs=2 or jobs=4 resolves to on this machine,
-        # the payload must not change.
+        # Whatever plan auto, jobs=2 or jobs=4 resolves to on this
+        # machine, the payload must not change.
         graph = powerlaw_cluster(150, 3, 0.5, seed=4)
         serial = payload_bytes(TSDIndex.build(graph))
+        assert payload_bytes(build_tsd_index(graph)) == serial
         for jobs in (2, 4):
-            assert payload_bytes(TSDIndex.build(graph, jobs=jobs)) == serial
+            assert payload_bytes(build_tsd_index(graph, jobs=jobs)) == serial
 
     def test_parallel_build_profile_present(self):
         graph = powerlaw_cluster(100, 3, 0.5, seed=1)
-        index = TSDIndex.build(graph, plan=forced(2))
+        index = build_tsd_index(graph, plan=forced(2))
         profile = index.build_profile
         assert profile is not None
         assert profile.total_seconds >= 0.0
@@ -97,19 +105,20 @@ class TestGCTBuildEquivalence:
     def test_parallel_matches_serial(self, jobs):
         for graph in random_graphs():
             serial = GCTIndex.build(graph)
-            parallel = GCTIndex.build(graph, jobs=jobs, plan=forced(jobs))
+            parallel = build_gct_index(graph, plan=forced(jobs))
             assert payload_bytes(parallel) == payload_bytes(serial)
 
     def test_shared_serial_matches_legacy(self):
         for graph in random_graphs():
-            assert (payload_bytes(GCTIndex.build(graph, jobs=1))
-                    == payload_bytes(GCTIndex.build(graph)))
+            reference = payload_bytes(GCTIndex.build(graph))
+            assert payload_bytes(build_gct_index(graph, jobs=1)) == reference
+            assert payload_bytes(build_gct_index(graph)) == reference
 
     def test_compress_of_parallel_tsd_matches_build(self):
         # The PR 1 invariant must survive parallelism: compressing a
         # parallel-built TSD still equals a from-scratch GCT build.
         for graph in random_graphs():
-            parallel_tsd = TSDIndex.build(graph, plan=forced(2))
+            parallel_tsd = build_tsd_index(graph, plan=forced(2))
             assert (payload_bytes(GCTIndex.compress(parallel_tsd))
                     == payload_bytes(GCTIndex.build(graph)))
 
@@ -123,11 +132,15 @@ class TestBuildBoth:
             assert (payload_bytes(gct)
                     == payload_bytes(GCTIndex.compress(serial_tsd)))
 
-    def test_per_vertex_plan_falls_back(self):
-        graph = figure1_graph()
-        tsd, gct = build_indexes(graph, jobs=None)
-        assert payload_bytes(tsd) == payload_bytes(TSDIndex.build(graph))
-        assert gct.build_profile is None  # compress never has one
+    def test_auto_and_serial_plans_match_reference(self):
+        for graph in random_graphs():
+            reference_tsd = payload_bytes(TSDIndex.build(graph))
+            reference_gct = payload_bytes(GCTIndex.build(graph))
+            for tsd, gct in (build_indexes(graph),
+                             build_indexes(graph, jobs=1)):
+                assert payload_bytes(tsd) == reference_tsd
+                assert payload_bytes(gct) == reference_gct
+                assert gct.build_profile is None  # compress never has one
 
     def test_builder_caches_extraction(self):
         builder = ParallelIndexBuilder(powerlaw_cluster(80, 3, 0.5, seed=2),
@@ -140,9 +153,6 @@ class TestBuildBoth:
 
 
 class TestBuildPlan:
-    def test_jobs_none_is_per_vertex(self):
-        assert BuildPlan.decide(10**6, jobs=None).mode == MODE_PER_VERTEX
-
     def test_jobs_one_is_serial(self):
         assert BuildPlan.decide(10**6, jobs=1).mode == MODE_SERIAL
 
@@ -176,19 +186,20 @@ class TestBuildPlan:
         with pytest.raises(InvalidParameterError):
             BuildPlan(MODE_PARALLEL, 0, "no workers")
 
-    def test_builder_rejects_per_vertex_plan(self):
+    def test_builder_rejects_negative_jobs(self):
         with pytest.raises(InvalidParameterError):
-            ParallelIndexBuilder(figure1_graph(),
-                                 plan=BuildPlan.decide(10, jobs=None))
+            ParallelIndexBuilder(figure1_graph(), jobs=-1)
 
 
 class TestRepairForests:
     def test_matches_serial_repair(self):
         graph = powerlaw_cluster(120, 3, 0.6, seed=5)
         targets = list(graph.vertices())[:30]
-        serial = repair_forests(graph, targets)            # jobs=None
-        pooled = repair_forests(graph, targets, plan=forced(2))
-        assert pooled == serial
+        reference = TSDIndex.build(graph)
+        serial = repair_forests(graph, targets, plan=SERIAL)
+        assert serial == {v: reference.forest(v) for v in targets}
+        assert repair_forests(graph, targets, plan=forced(2)) == serial
+        assert repair_forests(graph, targets) == serial   # auto plan
 
     def test_skips_vertices_not_in_graph(self):
         graph = Graph(edges=[(0, 1), (1, 2), (0, 2)])
@@ -204,30 +215,34 @@ class TestUpdatePathEquivalence:
         updates = [insert("n1", vertices[0]), insert("n1", vertices[1]),
                    insert(vertices[0], "n2"),
                    delete(*next(iter(graph.edges())))]
-        serial_next, serial_report = apply_batch(base, updates)
-        pooled_next, pooled_report = apply_batch(base, updates, jobs=2)
-        assert (payload_bytes(pooled_next.gct)
-                == payload_bytes(serial_next.gct))
-        assert (pooled_report.affected_vertices
-                == serial_report.affected_vertices)
-        assert pooled_report.rebuilt_forests == serial_report.rebuilt_forests
+        after, report = apply_batch(base, updates)
+        # The batch's repair, pooled and in-process, against the
+        # reference forests of the updated graph ...
+        updated = after.graph_view
+        targets = list(report.affected_vertices)
+        reference = TSDIndex.build(updated)
+        serial = repair_forests(updated, targets, plan=SERIAL)
+        assert serial == {v: reference.forest(v) for v in targets}
+        assert repair_forests(updated, targets, plan=forced(2)) == serial
+        # ... and the whole successor snapshot against a scratch build.
+        assert (payload_bytes(after.gct)
+                == payload_bytes(GCTIndex.build(updated)))
 
 
-class TestEngineAndServiceJobs:
-    def test_engine_build_jobs_rank_identical(self):
+class TestEngineAndSnapshotBuilds:
+    def test_engine_matches_reference_build(self):
         graph = powerlaw_cluster(90, 3, 0.5, seed=7)
-        default = QueryEngine(graph)
-        legacy = QueryEngine(graph, EngineConfig(build_jobs=None))
+        engine = QueryEngine(graph)
+        reference = TSDIndex.build(graph)
         queries = [(3, 5), (4, 5), (5, 3)]
-        for a, b in zip(default.top_r_many(queries),
-                        legacy.top_r_many(queries)):
-            assert a.vertices == b.vertices
-            assert a.scores == b.scores
-        assert (payload_bytes(default.tsd_index)
-                == payload_bytes(legacy.tsd_index))
+        for (k, r), answer in zip(queries, engine.top_r_many(queries)):
+            expected = reference.top_r(k, r)
+            assert answer.vertices == expected.vertices
+            assert answer.scores == expected.scores
+        assert payload_bytes(engine.tsd_index) == payload_bytes(reference)
 
-    def test_snapshot_build_jobs_identical(self):
+    def test_snapshot_build_matches_reference(self):
         graph = powerlaw_cluster(90, 3, 0.5, seed=8)
-        auto = Snapshot.build(graph)            # jobs=0 auto (default)
-        legacy = Snapshot.build(graph, jobs=None)
-        assert payload_bytes(auto.gct) == payload_bytes(legacy.gct)
+        snapshot = Snapshot.build(graph)
+        assert (payload_bytes(snapshot.gct)
+                == payload_bytes(GCTIndex.build(graph)))

@@ -311,6 +311,26 @@ class TestHTTPRoundTrip:
                 client._request("POST", path, body=body)
             assert excinfo.value.status == 400, (path, body)
 
+    @pytest.mark.parametrize("body", [
+        b'[["insert", NaN, NaN]]',
+        b'[["insert", Infinity, -Infinity]]',
+        b'{"updates": [["insert", 0, NaN]]}',
+    ])
+    def test_non_finite_json_constants_get_a_400(self, fleet, body):
+        """``NaN`` / ``Infinity`` are not JSON; accepting them let one
+        NaN object pass the self-loop check and grew the graph."""
+        router, _, client = fleet
+        before = router.service("random").snapshot
+        status, payload = client.request_raw(
+            "POST", "/graphs/random/updates", body=body,
+            headers={"Content-Type": "application/json"})
+        assert status == 400
+        assert "error" in json.loads(payload)
+        after = router.service("random").snapshot
+        assert after.version == before.version
+        assert after.num_vertices == before.num_vertices
+        assert after.num_edges == before.num_edges
+
     def test_updates_over_the_wire(self, fleet):
         router, _, client = fleet
         report = client.apply_updates(

@@ -591,6 +591,9 @@ class TestApplyBatch:
             apply_batch(snap, [("teleport", 0, 1)])
         with pytest.raises(GraphError):
             apply_batch(snap, [insert(0, 0)])      # self-loop
+        nan = float("nan")
+        with pytest.raises(GraphError):            # nan != nan, yet a loop
+            apply_batch(snap, [insert(nan, nan)])
 
     def test_tuples_accepted(self, triangle):
         snap = Snapshot.build(triangle)

@@ -230,6 +230,36 @@ class TestLazyReader:
         # labels + at most the touched vertex's summary records.
         assert reader.cache_len() <= 2
 
+    def test_record_fetch_decodes_the_dictionary_entry_once(
+            self, tmp_path, monkeypatch):
+        """A cold ``record(v)`` unpacks ``v``'s offset-dictionary entry
+        once, a warm one not at all; a vertex without a stored record
+        still reads as absent."""
+        graph = Graph(vertices=[9], edges=[(0, 1), (1, 2), (0, 2), (2, 3)])
+        payload = GCTIndex.build(graph).to_payload()
+        missing = str(graph.vertex_index(3))
+        del payload["supernodes"][missing], payload["superedges"][missing]
+        path = tmp_path / "gct.bin"
+        write_artifact(path, payload)
+        entries = []
+        entry = ArtifactReader._entry
+
+        def counted(self, pos):
+            entries.append(pos)
+            return entry(self, pos)
+        monkeypatch.setattr(ArtifactReader, "_entry", counted)
+        supernodes = open_gct_artifact(path)._supernodes
+        position = graph.vertex_index(0)
+        cold = supernodes.record(0)
+        assert entries == [position]
+        assert supernodes.record(0) == cold
+        assert entries == [position]
+        assert 3 not in supernodes
+        with pytest.raises(KeyError):
+            supernodes[3]
+        with pytest.raises(KeyError):
+            supernodes.record(3)
+
     def test_eviction_then_requery_is_correct(self, pair):
         graph, index, path = pair
         reader = ArtifactReader(path, cache_records=4)
@@ -309,7 +339,7 @@ class TestScanWorkCounts:
         from repro.storage import reader as reader_module
         n = 3000
         graph = powerlaw_cluster(n, 5, 0.5, seed=7)
-        eager = build_indexes(graph, jobs=1)[1]
+        eager = build_indexes(graph)[1]
         path = tmp_path / "gct.bin"
         write_artifact(path, eager.to_payload())
         calls = {}
